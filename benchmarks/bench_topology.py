@@ -1,4 +1,4 @@
-"""Topology microbenchmark: incremental spatial index vs brute-force.
+"""Topology microbenchmark: incremental spatial index vs full rebuild.
 
 MLR's per-round cost is topological: a gateway moves to its next
 feasible place, its neighborhood is recomputed, and every sensor's
@@ -10,13 +10,15 @@ affected reverse rows) and answers ``hops_to`` with a multi-source
 BFS over a cached CSR adjacency rebuilt only when the topology epoch
 or alive mask actually changed.
 
-This benchmark drives the same place-rotation loop through both
-implementations (``Network(index="grid")`` vs the retained
-``index="bruteforce"`` reference) and reports rounds/sec plus the
-speedup.  Periodic sensor deaths exercise the alive-mask path.  The
-two implementations are observably identical — per-round digests of
-the moved gateway's neighbor row and the full hop table are asserted
-equal, so the benchmark doubles as an equivalence check.
+This benchmark drives the same place-rotation loop through two legs of
+the same grid-indexed :class:`~repro.sim.network.Network`:
+``incremental`` (``move_node`` patches in place) and ``rebuild``
+(``invalidate()`` after every move, so each round pays the full
+neighbor-table, graph and CSR rebuild the incremental path avoids), and
+reports rounds/sec plus the speedup.  Periodic sensor deaths exercise
+the alive-mask path.  The two legs are observably identical — per-round
+digests of the moved gateway's neighbor row and the full hop table are
+asserted equal, so the benchmark doubles as an equivalence check.
 
 Run standalone to refresh the committed record::
 
@@ -26,7 +28,8 @@ The record lands at the repo root as ``BENCH_topology.json`` in the
 ``BENCH_hotpath.json`` schema (config + legs + digest + speedup) via
 :mod:`benchmarks._record`; ``--json -`` prints it instead.  The CI
 smoke job runs a small config with ``--min-speedup`` so a regression
-that makes the incremental path slower than the reference fails loudly.
+that makes the incremental path lose its edge over a rebuild fails
+loudly.
 """
 
 from __future__ import annotations
@@ -66,21 +69,22 @@ def _feasible_places(field: float) -> list[tuple[float, float]]:
     ]
 
 
-def run_rotation(n_nodes: int, rounds: int, index: str, seed: int = 0) -> dict:
+def run_rotation(n_nodes: int, rounds: int, rebuild: bool, seed: int = 0) -> dict:
     """Drive the move -> neighbors -> hops_to loop and time it.
 
-    Returns wall clock, rounds/sec and a per-round digest stream used to
-    prove both index implementations computed the same thing.
+    ``rebuild`` drops every topology cache after each move.  Returns
+    wall clock, rounds/sec and a per-round digest stream used to prove
+    both legs computed the same thing.
     """
     field = _field_size(n_nodes)
     places = _feasible_places(field)
     sensors = uniform_deployment(n_nodes, field, seed=seed)
     gateways = np.asarray(places[:_NUM_GATEWAYS])
-    net = build_sensor_network(sensors, gateways, comm_range=_COMM_RANGE, index=index)
+    net = build_sensor_network(sensors, gateways, comm_range=_COMM_RANGE)
     gateway_ids = net.gateway_ids
 
-    # Pre-warm outside the timed loop: both implementations start from a
-    # fully built neighbor table, graph and hop cache.
+    # Pre-warm outside the timed loop: both legs start from a fully
+    # built neighbor table, graph and hop cache.
     net.neighbors(0)
     net.hops_to(gateway_ids)
 
@@ -90,6 +94,8 @@ def run_rotation(n_nodes: int, rounds: int, index: str, seed: int = 0) -> dict:
         gw = gateway_ids[r % _NUM_GATEWAYS]
         target = places[(r + r // _NUM_GATEWAYS + 1) % _NUM_PLACES]
         net.move_node(gw, target)
+        if rebuild:
+            net.invalidate()
         if r % _DEATH_PERIOD == _DEATH_PERIOD - 1:
             net.nodes[(r * 37) % n_nodes].fail()
         nbrs = net.neighbors(gw)
@@ -102,7 +108,7 @@ def run_rotation(n_nodes: int, rounds: int, index: str, seed: int = 0) -> dict:
     wall = time.perf_counter() - t0
 
     return {
-        "index": index,
+        "leg": "rebuild" if rebuild else "incremental",
         "nodes": n_nodes,
         "rounds": rounds,
         "wall_clock_s": wall,
@@ -112,25 +118,25 @@ def run_rotation(n_nodes: int, rounds: int, index: str, seed: int = 0) -> dict:
 
 
 def run_benchmark(n_nodes: int, rounds: int, seed: int = 0) -> dict:
-    brute = run_rotation(n_nodes, rounds, index="bruteforce", seed=seed)
-    grid = run_rotation(n_nodes, rounds, index="grid", seed=seed)
+    rebuild = run_rotation(n_nodes, rounds, rebuild=True, seed=seed)
+    incremental = run_rotation(n_nodes, rounds, rebuild=False, seed=seed)
     # Equivalence: every round's neighbor row and hop table must match.
-    digests = brute.pop("digests")
-    for r, (want, got) in enumerate(zip(digests, grid.pop("digests"))):
+    digests = rebuild.pop("digests")
+    for r, (want, got) in enumerate(zip(digests, incremental.pop("digests"))):
         if want != got:
             raise AssertionError(
-                f"index implementations diverged at round {r}: "
-                f"bruteforce={want} grid={got}"
+                f"rebuild and incremental legs diverged at round {r}: "
+                f"rebuild={want} incremental={got}"
             )
     return bench_record(
         config={"nodes": n_nodes, "rounds": rounds, "seed": seed,
                 "comm_range": _COMM_RANGE, "field_size": _field_size(n_nodes),
                 "gateways": _NUM_GATEWAYS, "places": _NUM_PLACES},
-        legs={"bruteforce": brute, "grid": grid},
+        legs={"rebuild": rebuild, "incremental": incremental},
         digest={"rounds": rounds,
                 "hop_sum_checksum": sum(d[-1] for d in digests),
                 "neighbor_checksum": sum(d[0] for d in digests)},
-        speedup=brute["wall_clock_s"] / grid["wall_clock_s"],
+        speedup=rebuild["wall_clock_s"] / incremental["wall_clock_s"],
     )
 
 
@@ -149,14 +155,14 @@ def main(argv: list[str] | None = None) -> int:
     report = run_benchmark(args.nodes, args.rounds, seed=args.seed)
     written = write_bench("topology", report, path=args.json)
     if written != "-":
-        b, g = report["legs"]["bruteforce"], report["legs"]["grid"]
+        b, g = report["legs"]["rebuild"], report["legs"]["incremental"]
         print(f"nodes={args.nodes} rounds={args.rounds}")
-        print(f"bruteforce: {b['wall_clock_s']:.3f}s  "
+        print(f"rebuild:     {b['wall_clock_s']:.3f}s  "
               f"{b['rounds_per_sec']:,.1f} rounds/s")
-        print(f"grid:       {g['wall_clock_s']:.3f}s  "
+        print(f"incremental: {g['wall_clock_s']:.3f}s  "
               f"{g['rounds_per_sec']:,.1f} rounds/s")
-        print(f"speedup:    {report['speedup']:.2f}x")
-        print(f"record:     {written}")
+        print(f"speedup:     {report['speedup']:.2f}x")
+        print(f"record:      {written}")
 
     if args.min_speedup is not None and report["speedup"] < args.min_speedup:
         print(f"FAIL: speedup {report['speedup']:.2f}x < required "

@@ -51,8 +51,7 @@ from repro.mesh import ThreeTierWMSN
 __version__ = "1.4.0"
 
 # The registry and runner import experiment drivers which import the
-# substrate above, and the runner reads ``__version__`` for cache keys,
-# so these re-exports must stay below both.
+# substrate above, so these re-exports must stay below it.
 from repro.experiments.registry import (
     REGISTRY,
     ExperimentResult,

@@ -121,12 +121,11 @@ def make_uniform_scenario(
     """Uniform random deployment with explicit gateway positions.
 
     ``world`` carries the execution configuration — audit ledger,
-    spatial index, SoA/vectorized paths, fault plan, shards — as one
+    SoA path, fault plan, shards — as one
     :class:`~repro.world.WorldConfig` value (or its jsonable form, as it
     arrives from swept :class:`~repro.runner.spec.ExperimentSpec`
-    params).  The pre-``WorldConfig`` bare ``spatial_index``/``audit``/
-    ``fault_plan`` kwargs were removed after a deprecation cycle —
-    passing them now raises ``TypeError``.
+    params).  Bare per-setting kwargs (``audit=``, ``fault_plan=``, ...)
+    are not accepted — passing them raises ``TypeError``.
     """
     cfg = WorldConfig.from_param(world) or WorldConfig()
     builder = (
@@ -159,8 +158,8 @@ def make_grid_scenario(
 ) -> Scenario:
     """Regular grid deployment (deterministic topologies for tests).
 
-    ``world`` is the consolidated execution configuration; the removed
-    bare ``spatial_index``/``audit`` kwargs now raise ``TypeError``.
+    ``world`` is the consolidated execution configuration; bare
+    per-setting kwargs such as ``audit=`` raise ``TypeError``.
     """
     cfg = WorldConfig.from_param(world) or WorldConfig()
     builder = (

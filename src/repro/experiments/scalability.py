@@ -134,9 +134,8 @@ def run_scalability(
     """Sweep network size at constant density.
 
     ``world`` (a :class:`~repro.world.WorldConfig` or its jsonable form)
-    selects the execution configuration; ``world=WorldConfig(
-    spatial_index="bruteforce")`` reruns the sweep on the quadratic
-    reference path (ablations, benchmarks).
+    selects the execution configuration (audit ledger, SoA path, fault
+    plan); it never changes the computed rows.
     """
     cfg = WorldConfig.from_param(world) or WorldConfig()
     rows = []

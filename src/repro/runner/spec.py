@@ -4,9 +4,11 @@ A sweep is a list of :class:`ExperimentSpec`s; each spec expands into
 one :class:`SweepCell` per seed.  The cell's :func:`cache_key` is the
 identity used everywhere — for the on-disk cache, for deterministic
 result merging, and in JSONL traces — and is a stable hash of
-``(experiment, params, seed, repro.__version__)``: the same cell hashes
-identically across processes, interpreter restarts and machines, and
-any code-version bump invalidates old cache entries wholesale.
+``(experiment, params, seed, code version)``, where the code version is
+:func:`repro.source.source_hash`, a hash of the package's source: the
+same cell hashes identically across processes, interpreter restarts and
+machines, and any edit to the code invalidates old cache entries
+wholesale.
 """
 
 from __future__ import annotations
@@ -19,16 +21,9 @@ from typing import Iterable, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.sim.serialize import serializable, to_jsonable
+from repro.source import source_hash
 
 __all__ = ["ExperimentSpec", "SweepCell", "cache_key", "parse_seeds"]
-
-
-def _repro_version() -> str:
-    # Imported lazily: repro/__init__ re-exports the runner, so a
-    # top-level ``import repro`` here would be circular.
-    import repro
-
-    return repro.__version__
 
 
 def cache_key(
@@ -41,6 +36,7 @@ def cache_key(
 
     Hashes the canonical JSON of the four identity components; dict key
     order and tuple-vs-list container choices do not affect the key.
+    ``version`` defaults to :func:`~repro.source.source_hash`.
     Dataclass parameter values (a ``WorldConfig``, a ``FaultPlan``) are
     hashed through their tagged :func:`~repro.sim.serialize.to_jsonable`
     form, so the instance and its jsonable round-trip produce the same
@@ -55,7 +51,7 @@ def cache_key(
         "experiment": experiment,
         "params": _canonical(params),
         "seed": seed,
-        "version": version if version is not None else _repro_version(),
+        "version": version if version is not None else source_hash(),
     }
     blob = json.dumps(
         identity, sort_keys=True, separators=(",", ":"), default=_encode_param

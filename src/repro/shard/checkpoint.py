@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.sim.packet import restore_uid_state, uid_state
+from repro.source import source_hash
 
 __all__ = [
     "CheckpointConfig",
@@ -148,8 +149,10 @@ def workload_key(workload, shards: int) -> str:
 
     Everything that shapes the deterministic execution participates —
     positions (raw float bytes), traffic, protocol and its params,
-    radio, world config, battery, seed, rounds, the shard count and the
-    snapshot format version.  Execution-neutral knobs (checkpoint
+    radio, world config, battery, seed, rounds, the shard count, the
+    snapshot format version and the code that runs it
+    (:func:`~repro.source.source_hash`), so a snapshot is never resumed
+    under different code.  Execution-neutral knobs (checkpoint
     cadence/location, the config's own shard default) are normalized
     out, so "the same run, checkpointed elsewhere" resolves to the same
     key.
@@ -169,6 +172,7 @@ def workload_key(workload, shards: int) -> str:
         tuple(float(t) for t in workload.rounds),
         int(shards),
         FORMAT_VERSION,
+        source_hash(),
     )
     return hashlib.sha256(pickle.dumps(canon, protocol=4)).hexdigest()[:16]
 

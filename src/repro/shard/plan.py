@@ -103,7 +103,7 @@ class ShardPlan:
 
     # ------------------------------------------------------------------
     def owner_of(self, positions: np.ndarray) -> np.ndarray:
-        """Shard id owning each position (vectorized; ties on a cut go right)."""
+        """Shard id owning each position (one NumPy pass; ties on a cut go right)."""
         x = np.asarray(positions, dtype=float)[:, 0]
         return np.searchsorted(np.asarray(self.cuts), x, side="right")
 

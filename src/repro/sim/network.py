@@ -10,23 +10,16 @@ one-hop link relation of the paper's network model (Section 5.1):
     communication range.
 
 Gateways may move between rounds (Section 5.1: sensors static, gateways
-discretely mobile).  Two index implementations maintain the neighbor
-relation under such moves:
-
-``index="grid"`` (default)
-    A :class:`~repro.sim.spatial.CellGrid` with ``comm_range``-sized
-    cells.  ``move_node`` is *incremental*: only the moved node's row and
-    the affected reverse rows are touched, the cached ``networkx`` graph
-    is edge-patched in place, and a topology epoch is bumped — O(k) per
-    move instead of an O(n²) rebuild.  ``hops_to`` runs multi-source BFS
-    over a cached CSR adjacency (:mod:`scipy.sparse.csgraph`), revalidated
-    by (epoch, alive-version) instead of rebuilt per query.
-
-``index="bruteforce"``
-    The reference implementation: dense n × n distance matrix, full
-    invalidation on every change, ``networkx`` Dijkstra for hop counts.
-    Kept so the equivalence suite can hold the incremental path to the
-    simple one, mirroring the scalar/vectorized radio fan-out split.
+discretely mobile).  A :class:`~repro.sim.spatial.CellGrid` with
+``comm_range``-sized cells maintains the neighbor relation under such
+moves *incrementally*: only the moved node's row and the affected reverse
+rows are touched, the cached ``networkx`` graph is edge-patched in place,
+and a topology epoch is bumped — O(k) per move instead of an O(n²)
+rebuild.  ``hops_to`` runs multi-source BFS over a cached CSR adjacency
+(:mod:`scipy.sparse.csgraph`), revalidated by (epoch, alive-version)
+instead of rebuilt per query.  The test suite holds the index to a dense
+distance-matrix + networkx BFS oracle, and the recorded golden digests
+(``tests/golden/``) pin whole simulations.
 
 Node liveness (battery death, injected failures, sleep scheduling) feeds
 a maintained NumPy alive mask through per-node listeners — no per-query
@@ -56,9 +49,6 @@ __all__ = [
     "build_sensor_network",
 ]
 
-#: Valid spatial index implementations.
-SPATIAL_INDEXES = ("grid", "bruteforce")
-
 
 class Network:
     """Positions, nodes and the one-hop neighbor relation.
@@ -75,19 +65,12 @@ class Network:
         Initial battery (J) of each SENSOR node; ``math.inf`` gives the
         idealised unlimited-energy setting used by the worked examples.
         Non-sensor kinds are always mains powered.
-    index:
-        Neighbor maintenance strategy: ``"grid"`` (incremental cell-grid
-        index, the default) or ``"bruteforce"`` (dense distance matrix
-        with full invalidation — the reference implementation).
     soa:
         Keep per-node state in a :class:`~repro.sim.state.NodeStateStore`
-        (struct-of-arrays), with ``nodes`` holding thin
-        :class:`~repro.sim.state.NodeView` rows instead of
-        :class:`~repro.sim.node.Node` objects.  ``False`` (the default
-        for directly constructed networks) is the bit-identity reference
-        path, gated exactly like ``index="bruteforce"``; worlds built
-        through :class:`~repro.world.WorldBuilder` enable it via
-        ``WorldConfig.soa``.
+        (struct-of-arrays, the default), with ``nodes`` holding thin
+        :class:`~repro.sim.state.NodeView` rows.  ``False`` builds plain
+        :class:`~repro.sim.node.Node` objects instead — the per-object
+        reference path the SoA equivalence suite compares against.
     """
 
     def __init__(
@@ -96,8 +79,7 @@ class Network:
         kinds: Sequence[NodeKind],
         comm_range: float = 40.0,
         sensor_battery: float = math.inf,
-        index: str = "grid",
-        soa: bool = False,
+        soa: bool = True,
     ) -> None:
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
@@ -106,14 +88,9 @@ class Network:
             raise ConfigurationError("kinds and positions must have equal length")
         if comm_range <= 0:
             raise ConfigurationError("comm_range must be positive")
-        if index not in SPATIAL_INDEXES:
-            raise ConfigurationError(
-                f"unknown spatial index {index!r}; choose from {SPATIAL_INDEXES}"
-            )
 
         self.positions = positions.copy()
         self.comm_range = float(comm_range)
-        self.index = index
         capacities = [
             sensor_battery if kind is NodeKind.SENSOR else math.inf for kind in kinds
         ]
@@ -130,9 +107,8 @@ class Network:
 
         self._neighbor_cache: Optional[list[np.ndarray]] = None
         self._grid: Optional[CellGrid] = None
-        # graph() cache: alive_only -> (alive version at build, graph).
-        # The grid index patches cached graphs in place on moves/deaths;
-        # the brute-force reference drops them and rebuilds.
+        # graph() cache: alive_only -> (alive version at build, graph),
+        # patched in place on moves/deaths.
         self._graph_cache: dict[bool, tuple[int, nx.Graph]] = {}
         # hops_to() cache: alive_only -> (edge epoch, alive version, CSR).
         self._csr_cache: dict[bool, tuple[int, int, csr_matrix]] = {}
@@ -217,17 +193,8 @@ class Network:
     # neighbor sets (vectorised, cached)
     # ------------------------------------------------------------------
     def _build_neighbor_cache(self) -> list[np.ndarray]:
-        if self.index == "grid":
-            self._grid = CellGrid(self.positions, self.comm_range)
-            return self._grid.neighbor_rows(self.comm_range)
-        # Pairwise squared distances via broadcasting; the O(n^2) matrix
-        # is the reference the grid index is tested against.
-        pos = self.positions
-        diff = pos[:, None, :] - pos[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        within = d2 <= self.comm_range * self.comm_range
-        np.fill_diagonal(within, False)
-        return [np.nonzero(row)[0] for row in within]
+        self._grid = CellGrid(self.positions, self.comm_range)
+        return self._grid.neighbor_rows(self.comm_range)
 
     def neighbors(self, i: int) -> np.ndarray:
         """Ids within communication range of node ``i`` (excluding ``i``)."""
@@ -256,9 +223,9 @@ class Network:
     def invalidate(self) -> None:
         """Drop every topology cache after a wholesale change.
 
-        The incremental grid index never needs this for single-node moves
-        (``move_node`` patches in place); it remains the escape hatch for
-        callers that rewrite ``positions`` directly.
+        Single-node moves never need this (``move_node`` patches in
+        place); it is the escape hatch for callers that rewrite
+        ``positions`` directly.
         """
         self._neighbor_cache = None
         self._grid = None
@@ -273,21 +240,18 @@ class Network:
     def move_node(self, node_id: int, pos: Iterable[float]) -> None:
         """Relocate a node (gateway mobility).
 
-        With the grid index this is incremental: only node ``node_id``'s
-        neighbor row and the affected reverse rows (old minus new, new
-        minus old) are updated, cached graphs are edge-patched around the
-        node, and the epoch is bumped only when the edge set actually
-        changed.  The brute-force reference invalidates everything.
+        Incremental: only node ``node_id``'s neighbor row and the
+        affected reverse rows (old minus new, new minus old) are updated,
+        cached graphs are edge-patched around the node, and the epoch is
+        bumped only when the edge set actually changed.
         """
         if not 0 <= node_id < len(self.nodes):
             raise TopologyError(f"no such node: {node_id}")
         new_pos = np.asarray(list(pos), dtype=float)
         self.positions[node_id] = new_pos
-        if self.index == "bruteforce" or self._neighbor_cache is None:
+        if self._neighbor_cache is None:
             # No cache built yet: nothing to patch, the next query builds
             # from the already-updated positions.
-            if self.index == "bruteforce":
-                self.invalidate()
             return
 
         self._grid.move(node_id)
@@ -339,11 +303,6 @@ class Network:
         cached = self._graph_cache.get(True)
         if cached is None:
             return
-        if self.index == "bruteforce":
-            # Reference behavior: the alive graph goes stale and is
-            # rebuilt wholesale on the next query.
-            self._graph_cache.pop(True, None)
-            return
         _, g = cached
         if alive:
             g.add_node(node_id, kind=self.nodes[node_id].kind)
@@ -361,10 +320,10 @@ class Network:
     def graph(self, alive_only: bool = True) -> nx.Graph:
         """The one-hop link graph as a :class:`networkx.Graph`.
 
-        The graph is cached; with the grid index it is *patched* in place
-        as nodes move, die or recover, so repeated queries (the mesh
-        backbone recomputes routes on every forwarding decision; E9
-        recomputes reachability per failure step) almost never rebuild.
+        The graph is cached and *patched* in place as nodes move, die or
+        recover, so repeated queries (the mesh backbone recomputes routes
+        on every forwarding decision; E9 recomputes reachability per
+        failure step) almost never rebuild.
         Treat the returned graph as read-only.
         """
         cached = self._graph_cache.get(alive_only)
@@ -424,9 +383,8 @@ class Network:
         """Minimum hop count from every reachable node to the nearest target.
 
         Multi-source BFS; the ground truth that SPR's discovered routes
-        are tested against.  The grid index runs it as one unweighted
-        Dijkstra sweep over the cached CSR adjacency; the brute-force
-        reference keeps the original networkx implementation.
+        are tested against, run as one unweighted Dijkstra sweep over
+        the cached CSR adjacency.
         """
         n = len(self.nodes)
         if alive_only:
@@ -435,9 +393,6 @@ class Network:
             valid = sorted({int(t) for t in targets if 0 <= int(t) < n})
         if not valid:
             return {}
-        if self.index == "bruteforce":
-            g = self.graph(alive_only=alive_only)
-            return dict(nx.multi_source_dijkstra_path_length(g, set(valid), weight=None))
         mat = self._csr_adjacency(alive_only)
         dist = _csgraph_dijkstra(
             mat, directed=True, unweighted=True, indices=valid, min_only=True
@@ -485,8 +440,7 @@ def build_sensor_network(
     gateway_positions: np.ndarray,
     comm_range: float = 40.0,
     sensor_battery: float = math.inf,
-    index: str = "grid",
-    soa: bool = False,
+    soa: bool = True,
 ) -> Network:
     """Assemble a sensor-tier :class:`Network`: sensors first, then gateways.
 
@@ -500,6 +454,5 @@ def build_sensor_network(
     positions = np.vstack([sensor_positions, gateway_positions])
     kinds = [NodeKind.SENSOR] * len(sensor_positions) + [NodeKind.GATEWAY] * len(gateway_positions)
     return Network(
-        positions, kinds, comm_range=comm_range, sensor_battery=sensor_battery,
-        index=index, soa=soa,
+        positions, kinds, comm_range=comm_range, sensor_battery=sensor_battery, soa=soa,
     )

@@ -9,6 +9,18 @@ nodes' handlers.
 Two parameter presets mirror the paper's tier split (Section 3.2): sensor
 nodes speak :data:`IEEE802154`, mesh routers :data:`IEEE80211`, and
 gateways both.
+
+A fan-out reaches its receivers in one of two delivery modes, chosen per
+channel from what the physics observes: broadcast frames on a radio
+without CSMA or collision detection are queued as one sorted run and
+drained in batches (:meth:`Channel._fanout_batched`); everything else —
+unicast frames, and every frame on a radio whose medium is observed —
+schedules one engine event per reception
+(:meth:`Channel._fanout_per_event`).  Both take their RNG draws in
+neighbor order with identical shapes and reserve identical ``(time,
+seq)`` keys, so the choice never changes a metric, an RNG stream or an
+energy column.  The recorded golden digests (``tests/golden/``) pin that
+behaviour across protocols, radios, faults and shard counts.
 """
 
 from __future__ import annotations
@@ -48,8 +60,8 @@ class GilbertElliott:
     ``p_gb / (p_gb + p_bg)``.
 
     The chain consumes exactly two RNG draws per intended receiver —
-    one transition, one loss — regardless of parameter values, so the
-    scalar and vectorized fan-out paths stay stream-identical.
+    one transition, one loss — regardless of parameter values, so both
+    delivery modes (and a sharded split) consume the stream identically.
     """
 
     p_gb: float
@@ -132,12 +144,6 @@ class Channel:
         First-order radio model used to charge TX/RX energy.
     metrics:
         Collector receiving send/receive/drop events.
-    vectorized:
-        Batch the per-neighbor fan-out math (distance, propagation, loss
-        draws) with NumPy.  On by default; the scalar loop is kept as a
-        reference implementation for equivalence tests and the hot-path
-        benchmark.  Both paths draw from the RNG in the same order, so
-        they are stream-identical.
     """
 
     def __init__(
@@ -147,7 +153,6 @@ class Channel:
         config: RadioConfig = IEEE802154,
         energy_model: Optional[EnergyModel] = None,
         metrics: Optional[MetricsCollector] = None,
-        vectorized: bool = True,
     ) -> None:
         self.sim = sim
         self.network = network
@@ -155,7 +160,6 @@ class Channel:
         self.energy_model = energy_model or EnergyModel()
         self.metrics = metrics or MetricsCollector()
         self.medium = MediumState()
-        self.vectorized = vectorized
         self._prune_every = 256
         self._sends_since_prune = 0
         # With carrier sensing and collision detection both off, nothing
@@ -166,10 +170,10 @@ class Channel:
         # Batched same-timestamp delivery draining requires columnar
         # state and an unobserved medium (CSMA deferrals and collision
         # records are inherently per-reception); worlds that fail either
-        # condition fall back to per-event delivery — the per-world
-        # scalar fallback.  LinkDegrade fault windows only swap
-        # loss_rate/burst, so the gate is stable for a channel's lifetime.
-        self._batched = vectorized and self._store is not None and not self._medium_observed
+        # condition fall back to per-event delivery.  LinkDegrade fault
+        # windows only swap loss_rate/burst, so the gate is stable for a
+        # channel's lifetime.
+        self._batched = self._store is not None and not self._medium_observed
         # Pending broadcast deliveries as one flat sorted buffer of
         # ``(time, seq, node, rx_joules, packet, kind)`` entries with a
         # consume cursor.  New fan-out runs bisect-insert into the
@@ -218,9 +222,9 @@ class Channel:
         chain ``(sender, *)`` is advanced only by the sender's own
         fan-outs, so both the chain state and the draw sequence live
         entirely on whichever process owns the sender.  The batch
-        consumes the stream in exactly the order a scalar
-        two-draws-per-receiver loop would, so the fan-out paths share
-        this helper and stay bit-identical.
+        consumes the stream in exactly the order a
+        two-draws-per-receiver loop would, and every fan-out (batched,
+        per-event, sharded split) draws through this helper.
         """
         ge = self.config.burst
         k = len(receivers)
@@ -330,7 +334,7 @@ class Channel:
             dst = packet.dst
             if not owned[dst] and bool((neighbors == dst).any()):
                 # Remote destination: make its loss draw here — the
-                # exact ``random(k)`` batch the local vectorized fan-out
+                # exact ``random(k)`` batch the local per-event fan-out
                 # would have taken — then either ship the reception or
                 # count the loss and arm the sender-side ARQ retry.
                 k = int((neighbors == dst).sum())
@@ -464,89 +468,22 @@ class Channel:
             neighbors, resolved = split
         if self._batched and packet.dst is None:
             self._fanout_batched(sender, packet, neighbors, start, end, resolved)
-        elif self.vectorized:
-            self._fanout_vectorized(sender, packet, attempt, neighbors, start, end, resolved)
         else:
-            self._fanout_scalar(sender, packet, attempt, neighbors, start, end, resolved)
+            self._fanout_per_event(sender, packet, attempt, neighbors, start, end, resolved)
 
-    def _fanout_scalar(
+    def _fanout_per_event(
         self, sender: int, packet: Packet, attempt: int,
         neighbors: np.ndarray, start: float, end: float,
         resolved: bool = False,
     ) -> None:
-        """The pre-refactor per-neighbor Python loop (reference path).
+        """Per-event fan-out: one engine event per reception.
 
-        ``resolved`` means a sharded split already made the loss draws
-        for this frame (and dropped the casualties), so ``neighbors``
-        are all survivors.
-        """
-        rng = None
-        found_dst = packet.dst is None
-        burst_lost = None
-        if not resolved and self.config.burst is not None:
-            # Pre-draw the burst chain for the intended receivers (in
-            # neighbor order — the exact sequence this loop visits them);
-            # nothing else consumes the sender's stream inside the loop,
-            # so it is identical to interleaved per-receiver draws.
-            intended_ids = [
-                int(nb) for nb in neighbors if packet.dst is None or packet.dst == nb
-            ]
-            burst_lost = iter(self._burst_losses(sender, intended_ids))
-        elif not resolved and self.config.loss_rate > 0.0:
-            rng = self.sim.node_rng(sender)
-        for nb in neighbors:
-            intended = packet.dst is None or packet.dst == nb
-            if intended:
-                found_dst = True
-            prop = self.network.distance(sender, nb) / _SPEED_OF_LIGHT
-            arrive = end + prop
-            if burst_lost is not None:
-                lost = intended and next(burst_lost)
-            else:
-                lost = (
-                    intended
-                    and rng is not None
-                    and rng.random() < self.config.loss_rate
-                )
-            if lost:
-                self.metrics.on_drop("loss")
-                if self._medium_observed:
-                    # The frame is lost to the receiver, not to physics:
-                    # its energy still occupies the medium and collides
-                    # with overlapping receptions (non-deliverable entry).
-                    self.medium.register_reception(
-                        nb, start + prop, arrive, packet, sender, False, self.config.collisions
-                    )
-                if packet.dst is not None:
-                    self.sim.schedule(
-                        arrive - self.sim.now, self._maybe_retry, sender, packet, attempt
-                    )
-                continue
-            rec = self.medium.register_reception(
-                nb, start + prop, arrive, packet, sender, intended, self.config.collisions
-            )
-            if intended:
-                self.sim.schedule(arrive - self.sim.now, self._deliver, nb, rec, sender, attempt)
-
-        if not found_dst:
-            # Link-layer unicast to a node that moved/died out of range —
-            # the flag replaces an O(n) NumPy membership scan per frame
-            # and keeps drop accounting identical to the vectorized path.
-            # No reception exists, so ARQ never fires: terminal.
-            self.metrics.on_terminal_drop("no_link", packet, node=sender, now=self.sim.now)
-
-    def _fanout_vectorized(
-        self, sender: int, packet: Packet, attempt: int,
-        neighbors: np.ndarray, start: float, end: float,
-        resolved: bool = False,
-    ) -> None:
-        """Batched fan-out: one NumPy pass for distance/propagation/loss.
-
-        Draw-order stable with :meth:`_fanout_scalar`: loss draws are taken
-        as one batch in neighbor order, exactly the sequence the scalar
-        loop consumes, so both paths produce identical RNG streams and
-        identical schedules.  ``resolved`` means a sharded split already
-        made this frame's draws and ``neighbors`` are all survivors.
+        Distance, propagation and loss draws are one NumPy pass; loss
+        draws are taken as one batch in neighbor order.  Used for unicast
+        frames and whenever the medium is observed (CSMA/collisions),
+        where every reception must register with :class:`MediumState`.
+        ``resolved`` means a sharded split already made this frame's
+        draws and ``neighbors`` are all survivors.
         """
         dst = packet.dst
         n = len(neighbors)
@@ -601,8 +538,9 @@ class Channel:
             if lost_l is not None and lost_l[idx]:
                 self.metrics.on_drop("loss")
                 if interference:
-                    # Mirror of the scalar path: a lost frame still lands
-                    # as non-deliverable interference at the receiver.
+                    # A lost frame is lost to the receiver, not to
+                    # physics: it still lands as non-deliverable
+                    # interference at the receiver.
                     register(nb, start_l[idx], arrive, packet, sender, False, detect)
                 if dst is not None:
                     schedule(arrive - now, self._maybe_retry, sender, packet, attempt)
@@ -633,7 +571,7 @@ class Channel:
         of the frame become a single queued run whose entries carry the
         exact ``(time, seq)`` keys per-event scheduling would have
         produced: sequence numbers are reserved in neighbor order (the
-        order :meth:`_fanout_vectorized` consumes them), event times are
+        order :meth:`_fanout_per_event` consumes them), event times are
         computed with the same float expression ``schedule`` uses, and
         entries are stably sorted by time.  RNG draws are taken in the
         identical order and shapes, so the run is a pure re-packaging

@@ -1,9 +1,8 @@
 """Uniform-cell spatial index for O(n·k) neighbor maintenance.
 
-The brute-force neighbor computation in :class:`repro.sim.network.Network`
-builds the full ``n × n`` pairwise-distance matrix — fine for a static
-field, quadratic waste when one gateway moves between rounds (MLR moves
-gateways every round, Section 5.3).  :class:`CellGrid` buckets nodes into
+A dense neighbor computation builds the full ``n × n`` pairwise-distance
+matrix — fine for a static field, quadratic waste when one gateway moves
+between rounds (MLR moves gateways every round, Section 5.3).  :class:`CellGrid` buckets nodes into
 square cells whose side equals the query radius, so the nodes within
 ``r`` of any point all sit in the 3 × 3 cell block around it.  That makes
 
@@ -15,12 +14,12 @@ This is the same virtual-grid decomposition GAF uses for coordinator
 election (Section 4.4 cites it) — here applied to the simulation
 substrate instead of the protocol.
 
-Float semantics match the brute-force path bit-for-bit: candidate
+Float semantics match a dense distance matrix bit-for-bit: candidate
 distances are computed with the same subtract/multiply/sum element
 operations on the same float64 positions, and rows are returned sorted
-ascending exactly like ``np.nonzero`` on the dense mask, so the two index
-implementations produce *identical* neighbor arrays (the equivalence
-suite in ``tests/test_spatial_index.py`` holds them to that).
+ascending exactly like ``np.nonzero`` on the dense mask, so the index
+produces *identical* neighbor arrays to the dense oracle the test suite
+holds it to.
 """
 
 from __future__ import annotations
@@ -119,8 +118,8 @@ class CellGrid:
         """Per-node neighbor arrays for the whole field, O(n·k).
 
         Batched per occupied cell: one vectorised distance pass from each
-        cell's members to its 3 × 3 block, instead of the dense n × n
-        matrix of the brute-force path.
+        cell's members to its 3 × 3 block, instead of a dense n × n
+        distance matrix.
         """
         if radius > self.cell_size:
             raise ConfigurationError(

@@ -21,9 +21,11 @@ path, re-laid-out.  Every scalar operation replicates the corresponding
 arithmetic, same comparison and death-at-drain semantics, same
 edge-detected liveness notification), so a world built over a store
 produces bit-identical metrics rows, RNG streams and conservation ledgers
-to one built over plain objects.  The equivalence suite
-(``tests/test_soa_equivalence.py``) and the benchmark digest gate
-(``benchmarks/bench_hotpath.py``) hold it to that.
+to one built over plain objects.  The SoA equivalence suite
+(``tests/test_soa_equivalence.py``) compares the two directly, the
+hot-path benchmark gates on one shared ``run_digest`` across its legs,
+and the recorded golden digests (``tests/golden/``) pin the store path's
+run digest, per-node RNG states, energy column bytes and ledger totals.
 
 View invalidation
 -----------------

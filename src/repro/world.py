@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field, fields, replace as dc_replace
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -41,7 +41,6 @@ from repro.sim.energy import EnergyModel
 from repro.sim.engine import Simulator
 from repro.sim.mobility import FeasiblePlaces
 from repro.sim.network import (
-    SPATIAL_INDEXES,
     Network,
     build_sensor_network,
     grid_deployment,
@@ -69,21 +68,19 @@ __all__ = [
 class WorldConfig:
     """Execution configuration of a world, as one serializable value.
 
-    These are the toggles that select *how* a world runs, never *what* it
-    computes: every combination must produce bit-identical metrics rows,
-    RNG streams and conservation ledgers (the equivalence suites hold
-    each axis to that).  Consolidating them in one frozen dataclass means
+    These are the settings that select *how* a world runs, never *what*
+    it computes: every combination must produce bit-identical metrics
+    rows, RNG streams and conservation ledgers (the SoA equivalence
+    suite, the shard suite and the recorded golden digests hold each
+    axis to that).  Consolidating them in one frozen dataclass means
     experiments thread a single ``world`` value into their
     :class:`~repro.runner.spec.ExperimentSpec` params — so SoA and
     object-path runs hash to distinct cache keys and replay independently
-    — instead of sprinkling ``audit=``/``spatial_index=`` kwargs through
-    every entry point.
+    — instead of sprinkling ``audit=``/``faults=`` kwargs through every
+    entry point.
 
     Attributes
     ----------
-    vectorized:
-        Batch per-neighbor fan-out math with NumPy (PR 2).  ``False`` is
-        the scalar reference loop.
     soa:
         Keep node state in a :class:`~repro.sim.state.NodeStateStore`
         and drain same-timestamp broadcast deliveries in batches.
@@ -91,9 +88,6 @@ class WorldConfig:
         observes the medium (CSMA or collision detection) automatically
         fall back to per-event delivery even with ``soa=True``; the
         store still carries their node state.
-    spatial_index:
-        ``"grid"`` (incremental) or ``"bruteforce"`` (reference) — see
-        :class:`~repro.sim.network.Network`.
     audit:
         ``True`` forces the packet-conservation ledger on, ``False``
         forces it off, ``None`` defers to the ``REPRO_AUDIT`` default.
@@ -123,9 +117,7 @@ class WorldConfig:
         one) and are ignored by the runner's cache key.
     """
 
-    vectorized: bool = True
     soa: bool = True
-    spatial_index: str = "grid"
     audit: Optional[bool] = None
     faults: Optional[Any] = None
     shards: int = 1
@@ -133,11 +125,6 @@ class WorldConfig:
     checkpoint_every: int = 8
 
     def __post_init__(self) -> None:
-        if self.spatial_index not in SPATIAL_INDEXES:
-            raise ConfigurationError(
-                f"unknown spatial index {self.spatial_index!r}; "
-                f"choose from {SPATIAL_INDEXES}"
-            )
         if not isinstance(self.shards, int) or isinstance(self.shards, bool) or self.shards < 1:
             raise ConfigurationError(
                 f"shards must be a positive integer, got {self.shards!r}"
@@ -186,12 +173,20 @@ class WorldConfig:
         form as produced by :func:`~repro.sim.serialize.to_jsonable`
         (the shape a config takes after a trip through the runner's
         JSONL cache), or ``None``.  Anything else — in particular a
-        hand-rolled bare dict — is rejected, so a typo'd field name
-        fails loudly instead of silently running the default config.
+        hand-rolled bare dict — is rejected, and so is a jsonable form
+        carrying a field this config does not have (a typo, or a setting
+        that has since been removed), so it fails loudly instead of
+        silently running the default for that setting.
         """
         if value is None or isinstance(value, cls):
             return value
         if isinstance(value, dict) and value.get("__dataclass__") == cls.__name__:
+            known = {f.name for f in fields(cls)}
+            unknown = sorted(set(value.get("fields", {})) - known)
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown WorldConfig field(s) {unknown}; known fields: {sorted(known)}"
+                )
             cfg = from_jsonable(value)
             if isinstance(cfg, cls):
                 return cfg
@@ -403,7 +398,7 @@ class WorldBuilder:
         """Arbitrary node mix (mesh tiers: gateways/routers/base stations).
 
         Construction is deferred to :meth:`build` so later builder calls
-        (``comm_range``, ``spatial_index``) still apply.
+        (``comm_range``, ``soa``) still apply.
         """
         self._node_spec = (np.asarray(positions, dtype=float), list(kinds), comm_range)
         return self
@@ -499,32 +494,15 @@ class WorldBuilder:
         self._config = self._config.replace(audit=enabled)
         return self
 
-    def scalar_fanout(self) -> "WorldBuilder":
-        """Use the reference per-neighbor radio loop (benchmarks/tests)."""
-        self._config = self._config.replace(vectorized=False)
-        return self
-
     def soa(self, enabled: bool = True) -> "WorldBuilder":
         """Toggle the struct-of-arrays node-state store (default on).
 
-        ``soa(False)`` selects the per-object reference path — the same
-        kind of escape hatch as ``spatial_index("bruteforce")`` and
-        :meth:`scalar_fanout`.  Ignored when :meth:`network` supplies an
-        already-built topology (its layout is fixed at construction).
+        ``soa(False)`` selects the per-object reference path the SoA
+        equivalence suite compares against.  Ignored when :meth:`network`
+        supplies an already-built topology (its layout is fixed at
+        construction).
         """
         self._config = self._config.replace(soa=enabled)
-        return self
-
-    def spatial_index(self, index: str) -> "WorldBuilder":
-        """Neighbor maintenance strategy for built topologies.
-
-        ``"grid"`` (default) — incremental cell-grid index with in-place
-        graph patching and CSR hop queries; ``"bruteforce"`` — the dense
-        reference implementation with full invalidation (benchmarks and
-        equivalence tests).  Ignored when :meth:`network` supplies an
-        already-built topology.
-        """
-        self._config = self._config.replace(spatial_index=index)
         return self
 
     # -- extras ---------------------------------------------------------
@@ -565,10 +543,7 @@ class WorldBuilder:
             rng = spec_range if spec_range is not None else self._comm_range
             if rng is None:
                 raise ConfigurationError("nodes() needs a comm_range (argument or comm_range())")
-            return Network(
-                positions, kinds, comm_range=rng,
-                index=cfg.spatial_index, soa=cfg.soa,
-            )
+            return Network(positions, kinds, comm_range=rng, soa=cfg.soa)
         if self._sensor_positions is None:
             raise ConfigurationError("no topology: call network(), nodes(), sensors() or a deployment method")
         if self._gateway_positions is None:
@@ -583,7 +558,6 @@ class WorldBuilder:
             self._gateway_positions,
             comm_range=comm_range,
             sensor_battery=self._sensor_battery,
-            index=cfg.spatial_index,
             soa=cfg.soa,
         )
 
@@ -613,7 +587,6 @@ class WorldBuilder:
             self._radio or IEEE802154,
             self._energy_model,
             metrics,
-            vectorized=cfg.vectorized,
         )
         for recorder in _recorders:
             recorder.track(sim, metrics)

@@ -2,10 +2,9 @@
 
 Covers the :mod:`repro.faults` subsystem end to end — serializable
 :class:`FaultPlan` round-trips, injector event semantics on a live
-world, the Gilbert–Elliott bursty-loss chain (including scalar vs
-vectorized fan-out equivalence), zero-window backoff determinism, the
-alive-listener edge detector, clean recovery rejoin, and a hypothesis
-property showing randomized chaos campaigns conserve every datum while
+world, the Gilbert–Elliott bursty-loss chain, zero-window backoff
+determinism, the alive-listener edge detector, clean recovery rejoin,
+and a hypothesis property showing randomized chaos campaigns conserve every datum while
 recovered routes resume delivering.
 """
 
@@ -237,35 +236,6 @@ class TestGilbertElliott:
 
         assert run(GilbertElliott(p_gb=1.0, p_bg=0.0, loss_bad=1.0)) == 0.0
         assert run(GilbertElliott(p_gb=0.0, p_bg=0.0, loss_bad=1.0)) == 1.0
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_scalar_and_vectorized_fanout_identical(self, seed):
-        ge = GilbertElliott(p_gb=0.15, p_bg=0.4, loss_good=0.05, loss_bad=0.8)
-        radio = dataclasses.replace(IEEE802154.ideal(), burst=ge, arq_retries=2)
-
-        def run(vectorized):
-            builder = (
-                WorldBuilder()
-                .seed(seed)
-                .uniform_sensors(30, 150.0, topology_seed=3)
-                .gateways([[20.0, 20.0], [130.0, 130.0]])
-                .comm_range(55.0)
-                .radio(radio)
-                .audit(True)
-            )
-            if not vectorized:
-                builder.scalar_fanout()
-            world = builder.build()
-            spr = SPR(world.sim, world.network, world.channel)
-            for r in range(3):
-                for i, s in enumerate(world.network.sensor_ids):
-                    world.sim.schedule_at(r * 4.0 + 0.3 + i * 1e-3, spr.send_data, s)
-            world.sim.run()
-            m = world.metrics
-            return (m.delivery_ratio, dict(m.drops), m.bytes_sent,
-                    world.sim.rng.bit_generator.state["state"]["state"])
-
-        assert run(True) == run(False)
 
     def test_burst_state_survives_config_swap(self):
         # A link mid-burst when a degrade window closes resumes the chain

@@ -8,6 +8,7 @@ per cell.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -26,6 +27,7 @@ from repro.runner import (
 )
 from repro.runner.cli import main as cli_main
 from repro.sim.serialize import dumps
+from repro.source import PACKAGE_DIR, source_hash, tree_hash
 
 SMALL_SCALABILITY = {"sizes": [40], "rounds": 1}
 
@@ -91,8 +93,37 @@ class TestCacheKey:
         assert cache_key("y", {"a": 1}, 0) != base
         assert cache_key("x", {"a": 1}, 0, version="0.0.0") != base
 
-    def test_default_version_is_package_version(self):
-        assert cache_key("x", {}, 0) == cache_key("x", {}, 0, version=repro.__version__)
+    def test_default_version_is_source_hash(self):
+        assert cache_key("x", {}, 0) == cache_key("x", {}, 0, version=source_hash())
+
+    def test_code_edit_changes_the_key(self, monkeypatch):
+        import repro.runner.spec as spec
+
+        base = cache_key("x", {"a": 1}, 0)
+        monkeypatch.setattr(spec, "source_hash", lambda: "edited")
+        assert cache_key("x", {"a": 1}, 0) != base
+
+
+class TestSourceHash:
+    def test_tracks_the_hashed_source_bytes(self, tmp_path):
+        copy = tmp_path / "repro"
+        shutil.copytree(PACKAGE_DIR, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        assert tree_hash(copy) == source_hash()
+        module = copy / "sim" / "engine.py"
+        original = module.read_bytes()
+        module.write_bytes(original + b"\n")
+        assert tree_hash(copy) != source_hash()
+        module.write_bytes(original)
+        assert tree_hash(copy) == source_hash()
+        module.rename(copy / "sim" / "engine2.py")
+        assert tree_hash(copy) != source_hash()
+
+    def test_stable_across_processes(self):
+        out = subprocess.run(
+            [sys.executable, "-c", "from repro.source import source_hash; print(source_hash())"],
+            capture_output=True, text=True, check=True, env=dict(os.environ),
+        )
+        assert out.stdout.strip() == source_hash()
 
 
 class TestSpec:

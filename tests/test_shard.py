@@ -830,6 +830,15 @@ class TestCheckpointResume:
         # And different physics is a different key.
         assert workload_key(w, 2) != workload_key(_workload(seed=4), 2)
 
+    def test_workload_key_tracks_the_code(self, monkeypatch):
+        """A snapshot is never resumed under edited code."""
+        import repro.shard.checkpoint as checkpoint
+
+        w = _workload(seed=3)
+        base = workload_key(w, 2)
+        monkeypatch.setattr(checkpoint, "source_hash", lambda: "edited")
+        assert workload_key(w, 2) != base
+
     def test_checkpoint_fields_are_cache_key_neutral(self):
         """Runner cache keys ignore shards/checkpoint knobs entirely."""
         base = cache_key("scalability", {"world": WorldConfig(audit=True)}, 0)

@@ -25,6 +25,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.common import make_grid_scenario
 from repro.faults.plan import BatteryDrain, Crash, FaultPlan, Recover
 from repro.runner.spec import cache_key
+from repro.sim.network import Network
 from repro.sim.node import NodeKind
 from repro.sim.radio import IEEE802154
 from repro.sim.serialize import to_jsonable
@@ -226,12 +227,24 @@ class TestWorldConfigAPI:
         )
 
     def test_builder_wrappers_update_config(self):
-        b = WorldBuilder().audit(True).scalar_fanout().spatial_index("bruteforce")
-        assert b.config == WorldConfig(
-            vectorized=False, audit=True, spatial_index="bruteforce"
-        )
+        b = WorldBuilder().audit(True).soa(False)
+        assert b.config == WorldConfig(soa=False, audit=True)
         b.configure(WorldConfig(soa=False))
         assert b.config == WorldConfig(soa=False)
+
+    @pytest.mark.parametrize("stale", ["vectorized", "spatial_index"])
+    def test_from_param_rejects_unknown_fields(self, stale):
+        # A saved spec or trace from before a setting was removed must
+        # not silently run the default for it.
+        blob = to_jsonable(WorldConfig(audit=True))
+        blob["fields"][stale] = "bruteforce" if stale == "spatial_index" else False
+        with pytest.raises(ConfigurationError, match=stale):
+            WorldConfig.from_param(blob)
+
+    def test_directly_built_network_uses_the_store(self):
+        net = Network(np.zeros((3, 2)), [NodeKind.SENSOR] * 3)
+        assert net.store is not None
+        assert Network(np.zeros((3, 2)), [NodeKind.SENSOR] * 3, soa=False).store is None
 
     def test_bare_kwargs_path_is_gone(self):
         # The deprecated resolve_world_config shim was removed outright.

@@ -1,13 +1,17 @@
-"""Equivalence suite: incremental grid spatial index vs brute-force reference.
+"""Spatial index suite: the incremental grid index vs a dense oracle.
 
-The grid index (``Network(index="grid")``) must be *indistinguishable*
-from the dense reference (``index="bruteforce"``) on every observable:
-neighbor arrays (values, order, dtype-insensitive), patched graphs after
-moves/deaths/recoveries, CSR multi-source-BFS hop counts vs networkx, and
-— because neighbor iteration order feeds the channel's RNG draws — whole
-simulations must be bit-identical under either index.
+The grid index behind :class:`~repro.sim.network.Network` must be
+*indistinguishable* from a dense pairwise-distance computation on every
+observable: neighbor arrays (values and order), patched graphs after
+moves/deaths/recoveries, and CSR multi-source-BFS hop counts.  The
+oracle below is deliberately naive — an ``n × n`` distance matrix and
+networkx BFS over a freshly built graph — so it shares no code with the
+index.  One SPR flood is also run over both the grid rows and the
+oracle's rows; whole simulations are pinned by the golden digests
+(``tests/test_golden.py``).
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.base import ProtocolConfig
 from repro.core.spr import SPR
 from repro.exceptions import ConfigurationError
-from repro.sim.network import Network, build_sensor_network
+from repro.sim.network import Network, build_sensor_network, uniform_deployment
 from repro.sim.node import NodeKind
 from repro.sim.spatial import CellGrid
 from repro.world import WorldBuilder
@@ -24,17 +28,45 @@ COMM_RANGE = 30.0
 FIELD = 100.0
 
 
+# ----------------------------------------------------------------------
+# the dense oracle
+# ----------------------------------------------------------------------
+def dense_neighbors(positions, comm_range=COMM_RANGE):
+    """Neighbor rows from the full pairwise squared-distance matrix."""
+    pos = np.asarray(positions, dtype=float)
+    diff = pos[:, None, :] - pos[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    within = d2 <= comm_range * comm_range
+    np.fill_diagonal(within, False)
+    return [np.nonzero(row)[0] for row in within]
+
+
+def dense_graph(positions, alive=None, comm_range=COMM_RANGE):
+    """The link graph over ``alive`` nodes (all nodes when ``None``)."""
+    rows = dense_neighbors(positions, comm_range)
+    keep = [i for i in range(len(rows)) if alive is None or alive[i]]
+    g = nx.Graph()
+    g.add_nodes_from(keep)
+    for i in keep:
+        g.add_edges_from((i, int(j)) for j in rows[i] if int(j) in g)
+    return g
+
+
+def dense_hops(positions, targets, alive=None, comm_range=COMM_RANGE):
+    """Multi-source BFS hop counts to the nearest valid target."""
+    g = dense_graph(positions, alive, comm_range)
+    sources = {int(t) for t in targets if int(t) in g}
+    if not sources:
+        return {}
+    return dict(nx.multi_source_dijkstra_path_length(g, sources, weight=None))
+
+
 def _kinds(n):
     return [NodeKind.SENSOR] * (n - 1) + [NodeKind.GATEWAY]
 
 
-def _pair(pos, comm_range=COMM_RANGE):
-    """The same deployment under both index implementations."""
-    kinds = _kinds(len(pos))
-    return (
-        Network(pos, kinds, comm_range=comm_range, index="grid"),
-        Network(pos, kinds, comm_range=comm_range, index="bruteforce"),
-    )
+def _net(pos, comm_range=COMM_RANGE):
+    return Network(pos, _kinds(len(pos)), comm_range=comm_range)
 
 
 def _positions(n, seed, field=FIELD):
@@ -42,11 +74,12 @@ def _positions(n, seed, field=FIELD):
     return rng.uniform(0, field, size=(n, 2))
 
 
-def assert_same_neighbors(grid_net, brute_net):
-    assert len(grid_net) == len(brute_net)
-    for i in range(len(grid_net)):
-        g, b = grid_net.neighbors(i), brute_net.neighbors(i)
-        assert np.array_equal(g, b), f"node {i}: grid {g} != brute {b}"
+def assert_matches_oracle(net, comm_range=COMM_RANGE):
+    expected = dense_neighbors(net.positions, comm_range)
+    assert len(net) == len(expected)
+    for i, want in enumerate(expected):
+        got = net.neighbors(i)
+        assert np.array_equal(got, want), f"node {i}: grid {got} != dense {want}"
 
 
 # ----------------------------------------------------------------------
@@ -56,15 +89,14 @@ class TestNeighborEquivalence:
     @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=30, deadline=None)
     def test_rows_match_bruteforce(self, n, seed):
-        grid_net, brute_net = _pair(_positions(n, seed))
-        assert_same_neighbors(grid_net, brute_net)
+        assert_matches_oracle(_net(_positions(n, seed)))
 
     def test_exact_comm_range_is_a_link(self):
-        # d == comm_range must be an edge under both indexes (closed ball).
+        # d == comm_range must be an edge (closed ball).
         pos = np.array([[0.0, 0.0], [COMM_RANGE, 0.0], [2 * COMM_RANGE + 0.001, 0.0]])
-        grid_net, brute_net = _pair(pos)
-        assert list(grid_net.neighbors(0)) == [1]
-        assert_same_neighbors(grid_net, brute_net)
+        net = _net(pos)
+        assert list(net.neighbors(0)) == [1]
+        assert_matches_oracle(net)
 
     def test_nodes_on_cell_boundaries(self):
         # Coordinates at exact multiples of the cell side (== comm_range)
@@ -75,8 +107,7 @@ class TestNeighborEquivalence:
             [0.0, 0.0], [r, 0.0], [2 * r, 0.0], [0.0, r], [r, r],
             [-r, 0.0], [-r, -r], [0.0, -r], [r / 2, r / 2],
         ])
-        grid_net, brute_net = _pair(pos)
-        assert_same_neighbors(grid_net, brute_net)
+        assert_matches_oracle(_net(pos))
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=20, deadline=None)
@@ -85,8 +116,7 @@ class TestNeighborEquivalence:
         # cell borders and at distances exactly equal to the range.
         rng = np.random.default_rng(seed)
         pos = rng.integers(-3, 4, size=(25, 2)).astype(float) * (COMM_RANGE / 2)
-        grid_net, brute_net = _pair(pos)
-        assert_same_neighbors(grid_net, brute_net)
+        assert_matches_oracle(_net(pos))
 
     def test_grid_rejects_radius_beyond_cell(self):
         grid = CellGrid(np.zeros((2, 2)), cell_size=10.0)
@@ -94,7 +124,8 @@ class TestNeighborEquivalence:
             grid.neighbors_within(0, 10.5)
 
     def test_unknown_index_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # The grid is the only index: Network takes no index selector.
+        with pytest.raises(TypeError, match="index"):
             Network(np.zeros((2, 2)), [NodeKind.SENSOR] * 2, index="kdtree")
 
 
@@ -107,19 +138,19 @@ class TestIncrementalMoves:
     def test_random_move_sequence_matches_fresh_rebuild(self, seed):
         rng = np.random.default_rng(seed)
         pos = _positions(30, seed)
-        grid_net, _ = _pair(pos)
+        grid_net = _net(pos)
         grid_net.neighbors(0)  # force the incremental path, not a rebuild
         for _ in range(8):
             mover = int(rng.integers(len(pos)))
             target = rng.uniform(-20, FIELD + 20, size=2)
             grid_net.move_node(mover, target)
             pos[mover] = target
-            fresh = Network(pos, _kinds(len(pos)), comm_range=COMM_RANGE, index="bruteforce")
-            assert_same_neighbors(grid_net, fresh)
+            assert np.array_equal(grid_net.positions, pos)
+            assert_matches_oracle(grid_net)
 
     def test_move_round_trip_restores_rows(self):
         pos = _positions(25, seed=3)
-        grid_net, _ = _pair(pos)
+        grid_net = _net(pos)
         before = [grid_net.neighbors(i).copy() for i in range(len(grid_net))]
         home = pos[24].copy()
         for step in ([5.0, 5.0], [95.0, 95.0], [-10.0, 50.0], home):
@@ -128,7 +159,7 @@ class TestIncrementalMoves:
             assert np.array_equal(grid_net.neighbors(i), row)
 
     def test_noop_move_keeps_edge_epoch(self):
-        grid_net, _ = _pair(_positions(20, seed=1))
+        grid_net = _net(_positions(20, seed=1))
         grid_net.neighbors(0)
         epoch = grid_net.topology_epoch
         # A tiny jiggle that changes no neighbor set must not invalidate
@@ -137,23 +168,16 @@ class TestIncrementalMoves:
         assert grid_net.topology_epoch == epoch
 
     def test_move_before_first_query_builds_lazily(self):
-        pos = _positions(15, seed=2)
-        grid_net, _ = _pair(pos)
+        grid_net = _net(_positions(15, seed=2))
         grid_net.move_node(3, [0.0, 0.0])  # no cache yet: nothing to patch
-        pos[3] = [0.0, 0.0]
-        fresh = Network(pos, _kinds(len(pos)), comm_range=COMM_RANGE, index="bruteforce")
-        assert_same_neighbors(grid_net, fresh)
+        assert_matches_oracle(grid_net)
 
     def test_invalidate_escape_hatch(self):
-        pos = _positions(15, seed=4)
-        grid_net, _ = _pair(pos)
+        grid_net = _net(_positions(15, seed=4))
         grid_net.neighbors(0)
         grid_net.positions[:] = _positions(15, seed=5)  # wholesale rewrite
         grid_net.invalidate()
-        fresh = Network(
-            grid_net.positions, _kinds(len(pos)), comm_range=COMM_RANGE, index="bruteforce"
-        )
-        assert_same_neighbors(grid_net, fresh)
+        assert_matches_oracle(grid_net)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +193,8 @@ class TestGraphPatching:
     def test_patched_graph_equals_rebuilt(self, seed):
         rng = np.random.default_rng(seed)
         pos = _positions(30, seed)
-        grid_net, brute_net = _pair(pos)
+        alive = np.ones(len(pos), dtype=bool)
+        grid_net = _net(pos.copy())
         grid_net.graph()  # prime the cache so later queries are patches
         for _ in range(6):
             action = rng.integers(3)
@@ -177,16 +202,18 @@ class TestGraphPatching:
             if action == 0:
                 target = rng.uniform(0, FIELD, size=2)
                 grid_net.move_node(node, target)
-                brute_net.move_node(node, target)
+                pos[node] = target
             elif action == 1:
                 grid_net.nodes[node].fail()
-                brute_net.nodes[node].fail()
+                alive[node] = False
             else:
                 grid_net.nodes[node].recover()
-                brute_net.nodes[node].recover()
-            assert _graph_signature(grid_net.graph()) == _graph_signature(brute_net.graph())
+                alive[node] = True
+            assert _graph_signature(grid_net.graph()) == _graph_signature(
+                dense_graph(pos, alive)
+            )
             assert _graph_signature(grid_net.graph(alive_only=False)) == _graph_signature(
-                brute_net.graph(alive_only=False)
+                dense_graph(pos)
             )
 
     def test_patched_graph_is_same_object(self, line_network):
@@ -233,29 +260,24 @@ class TestHopsEquivalence:
     def test_hops_match_networkx(self, n, seed):
         rng = np.random.default_rng(seed)
         pos = _positions(n, seed)
-        grid_net, brute_net = _pair(pos)
+        grid_net = _net(pos)
+        alive = np.ones(n, dtype=bool)
         kills = rng.choice(n, size=min(3, n - 1), replace=False)
         for k in kills:
             grid_net.nodes[int(k)].fail()
-            brute_net.nodes[int(k)].fail()
+            alive[int(k)] = False
         targets = grid_net.gateway_ids + [int(kills[0])]
-        assert grid_net.hops_to(targets) == brute_net.hops_to(targets)
-        assert grid_net.hops_to(targets, alive_only=False) == brute_net.hops_to(
-            targets, alive_only=False
-        )
+        assert grid_net.hops_to(targets) == dense_hops(pos, targets, alive)
+        assert grid_net.hops_to(targets, alive_only=False) == dense_hops(pos, targets)
 
     def test_hops_after_moves(self, line_network):
-        # line_network uses the default grid index; a brute twin is the oracle.
-        brute = build_sensor_network(
-            np.array([[float(10 * i), 0.0] for i in range(5)]),
-            np.array([[50.0, 0.0]]), comm_range=12.0, index="bruteforce",
-        )
+        pos = line_network.positions.copy()
         gw = line_network.gateway_ids[0]
         line_network.hops_to([gw])
         for target in ([0.0, 10.0], [25.0, 5.0], [50.0, 0.0]):
             line_network.move_node(gw, target)
-            brute.move_node(gw, target)
-            assert line_network.hops_to([gw]) == brute.hops_to([gw])
+            pos[gw] = target
+            assert line_network.hops_to([gw]) == dense_hops(pos, [gw], comm_range=12.0)
 
     def test_empty_and_invalid_targets(self, line_network):
         assert line_network.hops_to([]) == {}
@@ -266,8 +288,11 @@ class TestHopsEquivalence:
 
     def test_collection_connectivity_matches(self):
         pos = _positions(40, seed=11)
-        grid_net, brute_net = _pair(pos)
-        assert grid_net.is_collection_connected() == brute_net.is_collection_connected()
+        grid_net = _net(pos)
+        hops = dense_hops(pos, grid_net.gateway_ids)
+        assert grid_net.is_collection_connected() == all(
+            s in hops for s in grid_net.sensor_ids
+        )
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +303,7 @@ class TestAliveNeighbors:
     @settings(max_examples=15, deadline=None)
     def test_matches_python_filter(self, seed):
         rng = np.random.default_rng(seed)
-        net, _ = _pair(_positions(30, seed))
+        net = _net(_positions(30, seed))
         for k in rng.choice(30, size=5, replace=False):
             net.nodes[int(k)].fail()
         for i in range(30):
@@ -287,24 +312,43 @@ class TestAliveNeighbors:
 
 
 # ----------------------------------------------------------------------
-# whole-simulation determinism across indexes
+# whole-simulation equivalence
 # ----------------------------------------------------------------------
+class DenseNetwork(Network):
+    """A :class:`Network` whose neighbor rows come from the dense oracle.
+
+    Only the initial neighbor build is replaced, so it supports static
+    topologies (no ``move_node``); liveness, graphs and CSR adjacency
+    are all derived from these rows.
+    """
+
+    def _build_neighbor_cache(self):
+        return [
+            row.astype(np.intp)
+            for row in dense_neighbors(self.positions, self.comm_range)
+        ]
+
+
 class TestSimulationEquivalence:
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_flood_bit_identical_across_indexes(self, vectorized):
-        def run(index):
-            builder = (
+    # A whole SPR flood run over grid rows must match the same run over
+    # the dense oracle's rows, on both node-state paths.
+    @pytest.mark.parametrize("soa", [True, False])
+    def test_flood_bit_identical_across_indexes(self, soa):
+        sensors = uniform_deployment(80, 150.0, seed=13)
+        positions = np.vstack([sensors, [[75.0, 75.0]]])
+
+        def run(network_cls):
+            net = network_cls(
+                positions, _kinds(len(positions)), comm_range=COMM_RANGE, soa=soa
+            )
+            world = (
                 WorldBuilder()
                 .seed(7)
-                .uniform_sensors(80, field_size=150.0, topology_seed=13)
-                .gateways([[75.0, 75.0]])
-                .comm_range(COMM_RANGE)
+                .network(net)
                 .ideal_radio()
-                .spatial_index(index)
+                .soa(soa)
+                .build()
             )
-            if not vectorized:
-                builder.scalar_fanout()
-            world = builder.build()
             spr = world.attach(SPR, ProtocolConfig(table_answering=False))
             for k in range(4):
                 world.sim.schedule(0.5 * k, spr.send_data, k)
@@ -317,7 +361,9 @@ class TestSimulationEquivalence:
                 dict(m.drops),
             )
 
-        assert run("grid") == run("bruteforce")
+        grid = run(Network)
+        assert grid[1] > 0 and grid[2] > 0
+        assert grid == run(DenseNetwork)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""World composition root: builder wiring, event accounting, fan-out equivalence."""
+"""World composition root: builder wiring and event accounting."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.core.spr import SPR
 from repro.exceptions import ConfigurationError, TopologyError
 from repro.sim.engine import Simulator
 from repro.sim.network import build_sensor_network
-from repro.sim.radio import IEEE802154, RadioConfig
+from repro.sim.radio import IEEE802154
 from repro.world import WorldBuilder, record_world_events
 
 
@@ -132,50 +132,6 @@ class TestEventRecorder:
         world.sim.schedule(0.1, lambda: None)
         world.sim.run()
         assert rec.events_processed == 0
-
-
-def _run_grid(vectorized: bool, radio: RadioConfig, seed: int = 7):
-    """A 4x4 grid world on exact (axis-aligned) distances, several flows."""
-    builder = (
-        WorldBuilder()
-        .seed(seed)
-        .grid_sensors(4, 4, spacing=10.0)
-        .gateways([[40.0, 30.0]])
-        .comm_range(10.5)  # axis-aligned links only: distances are exact floats
-        .radio(radio)
-    )
-    if not vectorized:
-        builder.scalar_fanout()
-    world = builder.build()
-    spr = world.attach(SPR)
-    for s in (0, 5, 10, 15):
-        world.sim.schedule(0.01 * s, spr.send_data, s)
-    world.sim.run()
-    m = world.metrics
-    deliveries = [(r.origin, r.uid, r.hops, r.latency, r.destination) for r in m.deliveries]
-    return deliveries, dict(m.drops), world.sim.now, world.events_processed
-
-
-class TestFanoutEquivalence:
-    """The vectorized fan-out must be bit-identical to the scalar loop."""
-
-    def test_ideal_radio_identical(self):
-        radio = IEEE802154.ideal()
-        assert _run_grid(True, radio) == _run_grid(False, radio)
-
-    def test_lossy_radio_identical_rng_stream(self):
-        lossy = RadioConfig(
-            name="lossy", bitrate=250_000.0, comm_range=40.0,
-            loss_rate=0.3, collisions=False, csma=False,
-            backoff_window=0.0, arq_retries=2,
-        )
-        a = _run_grid(True, lossy)
-        b = _run_grid(False, lossy)
-        assert a == b
-        assert a[1].get("loss", 0) > 0  # the loss draws actually fired
-
-    def test_contention_radio_identical(self):
-        assert _run_grid(True, IEEE802154) == _run_grid(False, IEEE802154)
 
 
 if __name__ == "__main__":
