@@ -13,13 +13,20 @@ Re-running a benchmark no longer discards the prior measurement: the
 latest record stays at the top level (so consumers keep reading the
 same shape) and earlier top-level records shift into a bounded
 ``history`` list, oldest first — a cheap local trend line across runs.
+Every record carries a ``host`` block (CPU model, ``cpu_count``,
+Python/NumPy versions, git SHA) so timings taken on different machines
+or commits are never read as comparable.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 from typing import Optional
+
+import numpy as np
 
 __all__ = ["bench_record", "write_bench"]
 
@@ -31,12 +38,47 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HISTORY_LIMIT = 20
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
+def _git_sha() -> str:
+    """HEAD's SHA, suffixed ``-dirty`` when tracked files are modified."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--abbrev=40", "--dirty"],
+            capture_output=True, text=True, cwd=REPO_ROOT, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
+def host_fingerprint() -> dict:
+    """The machine and code a measurement was taken on."""
+    return {
+        "cpu_model": _cpu_model(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "git_sha": _git_sha(),
+    }
+
+
 def bench_record(
     config: dict, legs: dict, digest: dict, speedup: float, **extra
 ) -> dict:
-    """Assemble a record in the ``BENCH_hotpath.json`` schema.
+    """Assemble a record in the ``BENCH_hotpath.json`` schema, stamped
+    with the :func:`host_fingerprint`.
 
-    ``extra`` lands at the top level (e.g. ``soa_speedup`` in the
+    ``extra`` lands at the top level (e.g. ``batched_speedup`` in the
     hotpath record, ``cpu_count`` in the shard one).
     """
     record = {
@@ -44,6 +86,7 @@ def bench_record(
         "legs": {str(k): dict(v) for k, v in legs.items()},
         "digest": dict(digest),
         "speedup": float(speedup),
+        "host": host_fingerprint(),
     }
     record.update(extra)
     return record

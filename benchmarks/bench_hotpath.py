@@ -1,59 +1,60 @@
-"""Hot-path microbenchmark: frozen scalar loop vs per-object vs struct-of-arrays.
+"""Hot-path microbenchmark: frozen scalar loop vs per-event vs batched delivery.
 
 Broadcast floods dominate E4/E8/E9 sweeps, and each flood frame fans out
 to every neighbor of the sender — reception delivery is where simulation
 time goes.  This benchmark floods a dense uniform field through three
-legs:
+legs, all on the struct-of-arrays node state:
 
-* ``object-scalar`` — per-object node state (``soa=False``) with the
-  original per-neighbor Python fan-out loop.  That loop no longer exists
-  in the simulator; a frozen copy (:func:`_fanout_scalar`) lives here
-  and is installed on this benchmark's own channel, so the speedup gates
-  keep measuring against the same baseline;
-* ``object-vec`` — per-object node state, NumPy-batched per-event
-  fan-out (``soa=False``);
-* ``soa`` — the :class:`~repro.sim.state.NodeStateStore` columns plus
-  batched delivery draining (the default).
+* ``scalar`` — the original per-neighbor Python fan-out loop, delivered
+  per event.  That loop no longer exists in the simulator; a frozen copy
+  (:func:`_fanout_scalar`) lives here and is installed on this
+  benchmark's own channel, with batching switched off on that channel,
+  so the speedup gates keep measuring against the same baseline;
+* ``per-event`` — the NumPy per-event fan-out (batching switched off on
+  the benchmark's channel, the delivery mode CSMA radios use);
+* ``batched`` — batched same-timestamp delivery draining (the default
+  for radios that do not observe the medium).
 
 All three are draw-order stable, so their simulations are bit-identical;
 the benchmark asserts one shared :func:`~repro.shard.runner.run_digest`
-across the legs before reporting timings, making it a correctness gate
-as well as a timer.  Run standalone for JSON output::
+(metrics plus the store's per-node tx/rx counters) across the legs
+before reporting timings, making it a correctness gate as well as a
+timer.  The record goes through :func:`_record.write_bench` (atomic
+replace, prior records kept in ``history``, host fingerprint)::
 
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --nodes 500 \
-        --json BENCH_hotpath.json
+    PYTHONPATH=src python benchmarks/bench_hotpath.py --nodes 500 --floods 10
 
-The CI smoke job runs a small config with ``--min-speedup`` (object-vec
-vs object-scalar) and ``--min-soa-speedup`` (SoA vs object-scalar) so a
-regression that loses the batched paths' advantage fails loudly.
+The CI smoke job runs a small config with ``--min-speedup`` (per-event
+vs scalar) and ``--min-batched-speedup`` (batched vs scalar) so a
+regression that loses either path's advantage fails loudly.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 import types
 
-import numpy as np
+from _record import bench_record, write_bench
 
 from repro.core.base import ProtocolConfig
 from repro.core.spr import SPR
 from repro.shard.runner import run_digest
 from repro.sim.radio import _SPEED_OF_LIGHT
-from repro.world import WorldBuilder, WorldConfig
+from repro.world import WorldBuilder
 
 #: target mean node degree of the benchmark field — dense enough that
 #: fan-out dominates, sparse enough that floods terminate quickly.
 _TARGET_DEGREE = 20.0
 _COMM_RANGE = 40.0
 
+
 def _fanout_scalar(
     self, sender, packet, attempt, neighbors, start, end, resolved=False,
 ):
-    """Frozen per-neighbor fan-out loop: the ``object-scalar`` baseline.
+    """Frozen per-neighbor fan-out loop: the ``scalar`` baseline.
 
     A copy of the channel's original reference loop, bound onto one
     benchmark channel in place of its per-event fan-out.  It is kept
@@ -105,25 +106,12 @@ def _fanout_scalar(
         self.metrics.on_terminal_drop("no_link", packet, node=sender, now=self.sim.now)
 
 
-#: label -> (execution configuration, frozen scalar fan-out installed?)
+#: label -> (batched delivery on?, frozen scalar fan-out installed?)
 LEGS = {
-    "object-scalar": (WorldConfig(soa=False), True),
-    "object-vec": (WorldConfig(soa=False), False),
-    "soa": (WorldConfig(), False),
+    "scalar": (False, True),
+    "per-event": (False, False),
+    "batched": (True, False),
 }
-
-
-def _leg_digest(world) -> str:
-    """:func:`run_digest` of one leg, comparable across node-state layouts.
-
-    Only the struct-of-arrays store keeps per-node tx/rx counters, so
-    each node's spent tx/rx energy — read through the node API both
-    layouts share, as exact float64 bit patterns — stands in for them.
-    """
-    nodes = world.network.nodes
-    tx = np.array([n.energy.spent_tx for n in nodes], dtype=np.float64)
-    rx = np.array([n.energy.spent_rx for n in nodes], dtype=np.float64)
-    return run_digest(world.metrics, (tx.view(np.int64).tolist(), rx.view(np.int64).tolist()))
 
 
 def _field_size(n_nodes: int) -> float:
@@ -132,13 +120,13 @@ def _field_size(n_nodes: int) -> float:
 
 
 def run_flood(
-    n_nodes: int, floods: int, config: WorldConfig, seed: int = 0, scalar: bool = False,
+    n_nodes: int, floods: int, seed: int = 0, batched: bool = True, scalar: bool = False,
 ) -> dict:
     """Flood the field ``floods`` times and time the simulation run.
 
-    ``scalar`` installs the frozen :func:`_fanout_scalar` loop on this
-    world's channel (per-object worlds fan out per event, so every
-    frame goes through it).
+    ``batched=False`` switches this world's channel to per-event
+    delivery; ``scalar`` also installs the frozen :func:`_fanout_scalar`
+    loop as its per-event fan-out.
     """
     field = _field_size(n_nodes)
     world = (
@@ -148,9 +136,9 @@ def run_flood(
         .gateways([[field / 2.0, field / 2.0]])
         .comm_range(_COMM_RANGE)
         .ideal_radio()
-        .configure(config)
         .build()
     )
+    world.channel._batched = batched
     if scalar:
         world.channel._fanout_per_event = types.MethodType(_fanout_scalar, world.channel)
     # Table answering off: every discovery floods the whole field instead
@@ -166,6 +154,7 @@ def run_flood(
 
     m = world.metrics
     receptions = int(sum(m.received.values()))
+    tx, rx = world.network.store.counter_columns()
     return {
         "nodes": n_nodes,
         "floods": floods,
@@ -175,40 +164,40 @@ def run_flood(
         "frames_sent": int(sum(m.sent.values())),
         "receptions": receptions,
         "fanout_per_sec": receptions / wall,
-        "run_digest": _leg_digest(world),
+        "run_digest": run_digest(m, (tx, rx)),
     }
 
 
 def run_benchmark(n_nodes: int, floods: int, seed: int = 0, repeat: int = 1) -> dict:
     """Time every leg (best of ``repeat``) and gate on the shared digest."""
     results: dict[str, dict] = {}
-    for label, (config, scalar) in LEGS.items():
+    for label, (batched, scalar) in LEGS.items():
         runs = [
-            run_flood(n_nodes, floods, config, seed=seed, scalar=scalar)
+            run_flood(n_nodes, floods, seed=seed, batched=batched, scalar=scalar)
             for _ in range(repeat)
         ]
         results[label] = min(runs, key=lambda r: r["wall_clock_s"])
 
-    # Bit-identity digest: every execution path simulated the same thing.
-    reference = results["object-scalar"]
+    # Bit-identity digest: every delivery path simulated the same thing.
+    reference = results["scalar"]
     for label, result in results.items():
         if result["run_digest"] != reference["run_digest"]:
             raise AssertionError(
-                f"execution paths diverged: run_digest object-scalar="
+                f"delivery paths diverged: run_digest scalar="
                 f"{reference['run_digest']} {label}={result['run_digest']}"
             )
 
     scalar_wall = reference["wall_clock_s"]
-    return {
-        "config": {"nodes": n_nodes, "floods": floods, "seed": seed,
-                   "repeat": repeat, "comm_range": _COMM_RANGE,
-                   "field_size": _field_size(n_nodes)},
-        "legs": results,
-        "digest": {key: reference[key] for key in
-                   ("run_digest", "events_processed", "frames_sent", "receptions")},
-        "speedup": scalar_wall / results["object-vec"]["wall_clock_s"],
-        "soa_speedup": scalar_wall / results["soa"]["wall_clock_s"],
-    }
+    return bench_record(
+        config={"nodes": n_nodes, "floods": floods, "seed": seed,
+                "repeat": repeat, "comm_range": _COMM_RANGE,
+                "field_size": _field_size(n_nodes)},
+        legs=results,
+        digest={key: reference[key] for key in
+                ("run_digest", "events_processed", "frames_sent", "receptions")},
+        speedup=scalar_wall / results["per-event"]["wall_clock_s"],
+        batched_speedup=scalar_wall / results["batched"]["wall_clock_s"],
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -219,42 +208,39 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeat", type=int, default=1,
                         help="run each leg this many times, keep the fastest")
     parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write the JSON report here ('-' for stdout)")
+                        help="record destination ('-' for stdout; default "
+                             "BENCH_hotpath.json at the repo root)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="exit non-zero when the object-vec vs "
-                             "object-scalar speedup falls below this")
-    parser.add_argument("--min-soa-speedup", type=float, default=None,
-                        help="exit non-zero when the soa vs object-scalar "
+                        help="exit non-zero when the per-event vs scalar "
+                             "speedup falls below this")
+    parser.add_argument("--min-batched-speedup", type=float, default=None,
+                        help="exit non-zero when the batched vs scalar "
                              "speedup falls below this")
     args = parser.parse_args(argv)
 
     report = run_benchmark(args.nodes, args.floods, seed=args.seed,
                            repeat=args.repeat)
-    blob = json.dumps(report, indent=2)
-    if args.json == "-":
-        print(blob)
-    else:
-        if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(blob + "\n")
+    written = write_bench("hotpath", report, path=args.json)
+    if written != "-":
         print(f"nodes={args.nodes} floods={args.floods} "
               f"events={report['digest']['events_processed']}")
         for label, r in report["legs"].items():
             print(f"{label + ':':14s} {r['wall_clock_s']:.3f}s  "
                   f"{r['events_per_sec']:,.0f} ev/s  "
                   f"{r['fanout_per_sec']:,.0f} rx/s")
-        print(f"speedup:       vec {report['speedup']:.2f}x   "
-              f"soa {report['soa_speedup']:.2f}x")
+        print(f"speedup:       per-event {report['speedup']:.2f}x   "
+              f"batched {report['batched_speedup']:.2f}x")
+        print(f"record:        {written}")
 
     status = 0
     if args.min_speedup is not None and report["speedup"] < args.min_speedup:
-        print(f"FAIL: object-vec speedup {report['speedup']:.2f}x < required "
+        print(f"FAIL: per-event speedup {report['speedup']:.2f}x < required "
               f"{args.min_speedup:.2f}x", file=sys.stderr)
         status = 1
-    if (args.min_soa_speedup is not None
-            and report["soa_speedup"] < args.min_soa_speedup):
-        print(f"FAIL: soa speedup {report['soa_speedup']:.2f}x < required "
-              f"{args.min_soa_speedup:.2f}x", file=sys.stderr)
+    if (args.min_batched_speedup is not None
+            and report["batched_speedup"] < args.min_batched_speedup):
+        print(f"FAIL: batched speedup {report['batched_speedup']:.2f}x < required "
+              f"{args.min_batched_speedup:.2f}x", file=sys.stderr)
         status = 1
     return status
 

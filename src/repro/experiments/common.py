@@ -121,8 +121,7 @@ def make_uniform_scenario(
     """Uniform random deployment with explicit gateway positions.
 
     ``world`` carries the execution configuration — audit ledger,
-    SoA path, fault plan, shards — as one
-    :class:`~repro.world.WorldConfig` value (or its jsonable form, as it
+    fault plan, shards — as one :class:`~repro.world.WorldConfig` value (or its jsonable form, as it
     arrives from swept :class:`~repro.runner.spec.ExperimentSpec`
     params).  Bare per-setting kwargs (``audit=``, ``fault_plan=``, ...)
     are not accepted — passing them raises ``TypeError``.

@@ -134,8 +134,7 @@ def run_scalability(
     """Sweep network size at constant density.
 
     ``world`` (a :class:`~repro.world.WorldConfig` or its jsonable form)
-    selects the execution configuration (audit ledger, SoA path, fault
-    plan); it never changes the computed rows.
+    selects the execution configuration (audit ledger, fault plan).
     """
     cfg = WorldConfig.from_param(world) or WorldConfig()
     rows = []

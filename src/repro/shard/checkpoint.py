@@ -194,13 +194,12 @@ def snapshot_world(world, proto, extra: Optional[dict] = None) -> bytes:
     The engine refuses to snapshot mid-``run`` (its ``__getstate__``
     raises) — callers hold the barrier invariant, this just enforces it.
     """
-    store = getattr(world.network, "store", None)
     payload = {
         "format": FORMAT_VERSION,
         "world": world,
         "proto": proto,
         "uid": uid_state(),
-        "store_checksum": None if store is None else store.checksum(),
+        "store_checksum": world.network.store.checksum(),
         "extra": dict(extra or {}),
     }
     return pickle.dumps(payload, protocol=4)
@@ -224,15 +223,13 @@ def restore_world(blob: bytes):
             f" is not {FORMAT_VERSION} — written by an incompatible version"
         )
     world, proto = payload["world"], payload["proto"]
-    store = getattr(world.network, "store", None)
     want = payload["store_checksum"]
-    if store is not None and want is not None:
-        got = store.checksum()
-        if got != want:
-            raise CheckpointError(
-                f"node-state checksum mismatch after restore ({got[:12]} != "
-                f"{want[:12]}) — checkpoint corrupt"
-            )
+    got = world.network.store.checksum()
+    if got != want:
+        raise CheckpointError(
+            f"node-state checksum mismatch after restore ({got[:12]} != "
+            f"{want[:12]}) — checkpoint corrupt"
+        )
     restore_uid_state(payload["uid"])
     return world, proto, payload["extra"]
 

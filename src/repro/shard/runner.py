@@ -295,11 +295,6 @@ def _validate(workload: ShardWorkload, shards: int) -> None:
     if shards == 1:
         return
     cfg = workload.world
-    if not cfg.soa:
-        raise ConfigurationError(
-            "sharded execution requires soa=True (halo alive/route mirroring "
-            "and per-node counters live on the struct-of-arrays store)"
-        )
     if cfg.faults is not None:
         raise ConfigurationError(
             "sharded execution cannot arm a fault plan: the injector would "

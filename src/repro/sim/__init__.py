@@ -19,7 +19,7 @@ from repro.sim.energy import EnergyModel, EnergyAccount
 from repro.sim.packet import Packet, PacketKind, SecurityEnvelope
 from repro.sim.radio import RadioConfig, IEEE802154, IEEE80211, Channel
 from repro.sim.node import Node, NodeKind
-from repro.sim.state import EnergyView, NodeStateStore, NodeView
+from repro.sim.state import NodeStateStore
 from repro.sim.network import (
     Network,
     build_sensor_network,
@@ -47,8 +47,6 @@ __all__ = [
     "Node",
     "NodeKind",
     "NodeStateStore",
-    "NodeView",
-    "EnergyView",
     "Network",
     "build_sensor_network",
     "uniform_deployment",

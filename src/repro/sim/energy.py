@@ -23,10 +23,13 @@ distance-dependent cost for their long-range hops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Optional, TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.state import NodeStateStore
 
 __all__ = ["EnergyModel", "EnergyAccount"]
 
@@ -84,73 +87,86 @@ class EnergyModel:
         return bits * self.e_elec
 
 
-@dataclass
 class EnergyAccount:
-    """Battery state of a single node.
+    """Battery state of a single node: one row of a
+    :class:`~repro.sim.state.NodeStateStore`.
 
     Gateways/mesh routers are modelled with ``math.inf`` capacity ("let
     gateways have unrestricted energy", Section 5.3); sensor nodes get a
     finite budget and die — permanently — when it is exhausted.  The time of
     the *first* sensor death is the paper's network-lifetime definition.
 
-    ``on_death`` is an optional zero-argument callback fired exactly once,
-    at the drain that exhausts the battery — how the owning
-    :class:`~repro.sim.node.Node` propagates liveness changes to the
-    :class:`~repro.sim.network.Network`'s maintained alive mask without
-    any per-query scanning.
+    The account holds no values of its own: every field reads the
+    store's columns at access time, and every charge mutates them, so
+    fault injection (battery drains), LEACH (cluster-head cross-charges)
+    and analysis (``spent`` sums) see exactly what the radio's columnar
+    hot path wrote.  Scalars come back as Python floats.
     """
 
-    capacity: float
-    remaining: float = field(default=None)  # type: ignore[assignment]
-    spent_tx: float = 0.0
-    spent_rx: float = 0.0
-    spent_idle: float = 0.0
-    died_at: float | None = None
-    on_death: Callable[[], None] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("_store", "_i")
 
-    def __post_init__(self) -> None:
-        if self.remaining is None:
-            self.remaining = self.capacity
-        if self.capacity < 0:
-            raise ConfigurationError("battery capacity must be non-negative")
+    def __init__(self, store: "NodeStateStore", i: int) -> None:
+        self._store = store
+        self._i = i
+
+    @property
+    def capacity(self) -> float:
+        return float(self._store.capacity[self._i])
+
+    @property
+    def remaining(self) -> float:
+        return float(self._store.remaining[self._i])
+
+    @remaining.setter
+    def remaining(self, value: float) -> None:
+        self._store.remaining[self._i] = value
+
+    @property
+    def spent_tx(self) -> float:
+        return float(self._store.spent_tx[self._i])
+
+    @property
+    def spent_rx(self) -> float:
+        return float(self._store.spent_rx[self._i])
+
+    @property
+    def spent_idle(self) -> float:
+        return float(self._store.spent_idle[self._i])
+
+    @property
+    def died_at(self) -> Optional[float]:
+        """Battery-death time, or None while the battery lives."""
+        v = self._store.died_at[self._i]
+        return None if math.isnan(v) else float(v)
 
     @property
     def alive(self) -> bool:
-        return self.died_at is None
+        return bool(self._store.energy_alive[self._i])
 
     @property
     def spent(self) -> float:
         """Total energy consumed so far, in joules."""
         return self.spent_tx + self.spent_rx + self.spent_idle
 
-    def _drain(self, joules: float, now: float) -> bool:
-        if not self.alive:
-            return False
-        self.remaining -= joules
-        if self.remaining <= 0 and not math.isinf(self.capacity):
-            self.remaining = 0.0
-            self.died_at = now
-            if self.on_death is not None:
-                self.on_death()
-        return True
-
+    # The charges run the store's shared scalar op rather than its public
+    # ``charge_*`` methods, so one charge is one call at either surface.
     def charge_tx(self, joules: float, now: float) -> bool:
         """Charge a transmission; returns False if the node was dead."""
-        ok = self._drain(joules, now)
-        if ok:
-            self.spent_tx += joules
-        return ok
+        store = self._store
+        return store._charge(self._i, joules, now, store.spent_tx, store.tx_count)
 
     def charge_rx(self, joules: float, now: float) -> bool:
         """Charge a reception; returns False if the node was dead."""
-        ok = self._drain(joules, now)
-        if ok:
-            self.spent_rx += joules
-        return ok
+        store = self._store
+        return store._charge(self._i, joules, now, store.spent_rx, store.rx_count)
 
     def charge_idle(self, joules: float, now: float) -> bool:
         """Charge idle listening; returns False if the node was dead."""
-        ok = self._drain(joules, now)
-        if ok:
-            self.spent_idle += joules
-        return ok
+        store = self._store
+        return store._charge(self._i, joules, now, store.spent_idle, None)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"EnergyAccount(node={self._i}, capacity={self.capacity!r}, "
+            f"remaining={self.remaining!r}, spent={self.spent!r})"
+        )

@@ -2,8 +2,9 @@
 
 A :class:`Network` owns node positions (NumPy arrays, so neighbor sets are
 computed with vectorised distance math — the one genuinely hot path in the
-substrate), the :class:`~repro.sim.node.Node` objects, and the symmetric
-one-hop link relation of the paper's network model (Section 5.1):
+substrate), the :class:`~repro.sim.state.NodeStateStore` whose rows are its
+:class:`~repro.sim.node.Node` objects, and the symmetric one-hop link
+relation of the paper's network model (Section 5.1):
 
     ``G(V, E)`` with ``V = V_S ∪ V_G`` and an edge wherever two nodes can
     immediately communicate — here, wherever their distance is at most the
@@ -21,9 +22,10 @@ instead of rebuilt per query.  The test suite holds the index to a dense
 distance-matrix + networkx BFS oracle, and the recorded golden digests
 (``tests/golden/``) pin whole simulations.
 
-Node liveness (battery death, injected failures, sleep scheduling) feeds
-a maintained NumPy alive mask through per-node listeners — no per-query
-Python scan over ``self.nodes``.
+Node liveness (battery death, injected failures, sleep scheduling) is the
+store's maintained ``alive`` column; per-node listeners tell the network
+when it flips so the cached graphs are patched — no per-query Python scan
+over ``self.nodes``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.exceptions import ConfigurationError, TopologyError
-from repro.sim.energy import EnergyAccount
-from repro.sim.node import Node, NodeKind
+from repro.sim.node import NodeKind
 from repro.sim.spatial import CellGrid
 from repro.sim.state import NodeStateStore
 
@@ -65,12 +66,9 @@ class Network:
         Initial battery (J) of each SENSOR node; ``math.inf`` gives the
         idealised unlimited-energy setting used by the worked examples.
         Non-sensor kinds are always mains powered.
-    soa:
-        Keep per-node state in a :class:`~repro.sim.state.NodeStateStore`
-        (struct-of-arrays, the default), with ``nodes`` holding thin
-        :class:`~repro.sim.state.NodeView` rows.  ``False`` builds plain
-        :class:`~repro.sim.node.Node` objects instead — the per-object
-        reference path the SoA equivalence suite compares against.
+
+    Per-node state lives in ``store``, a
+    :class:`~repro.sim.state.NodeStateStore`; ``nodes`` holds its rows.
     """
 
     def __init__(
@@ -79,7 +77,6 @@ class Network:
         kinds: Sequence[NodeKind],
         comm_range: float = 40.0,
         sensor_battery: float = math.inf,
-        soa: bool = True,
     ) -> None:
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
@@ -94,16 +91,9 @@ class Network:
         capacities = [
             sensor_battery if kind is NodeKind.SENSOR else math.inf for kind in kinds
         ]
-        #: the struct-of-arrays state core (None on the object reference path)
-        self.store: Optional[NodeStateStore] = None
-        if soa:
-            self.store = NodeStateStore(kinds, capacities)
-            self.nodes = [self.store.node_view(i) for i in range(len(kinds))]
-        else:
-            self.nodes = [
-                Node(node_id=i, kind=kind, energy=EnergyAccount(capacity=capacities[i]))
-                for i, kind in enumerate(kinds)
-            ]
+        #: the struct-of-arrays node state
+        self.store = NodeStateStore(kinds, capacities)
+        self.nodes = [self.store.node_view(i) for i in range(len(kinds))]
 
         self._neighbor_cache: Optional[list[np.ndarray]] = None
         self._grid: Optional[CellGrid] = None
@@ -121,14 +111,11 @@ class Network:
         #: invalidation); alive transitions bump ``_alive_version`` instead.
         self._edge_epoch = 0
         self._alive_version = 0
-        # Maintained liveness mask: nodes notify the network on every
-        # alive-flag transition (battery death, fail/recover, sleep/wake),
-        # so no query ever re-derives liveness with a Python generator.
-        self._alive = np.fromiter(
-            (n.alive for n in self.nodes), dtype=bool, count=len(self.nodes)
-        )
-        for node in self.nodes:
-            node.bind_alive_listener(self._on_alive_change)
+        # The store notifies the network on every alive-flag transition
+        # (battery death, fail/recover, sleep/wake), so the caches keyed
+        # on the alive version stay current.
+        for i in range(len(self.nodes)):
+            self.store.bind_alive_listener(i, self._on_alive_change)
 
     # ------------------------------------------------------------------
     # structure queries
@@ -156,8 +143,9 @@ class Network:
 
     @property
     def alive_mask(self) -> np.ndarray:
-        """Maintained per-node liveness mask.  Treat as read-only."""
-        return self._alive
+        """The store's maintained per-node liveness column.  Treat as
+        read-only."""
+        return self.store.alive
 
     def distance(self, i: int, j: int) -> float:
         """Euclidean distance between nodes ``i`` and ``j`` in meters."""
@@ -216,7 +204,7 @@ class Network:
         out = self._alive_nbr_cache.get(i)
         if out is None:
             nbrs = self.neighbors(i)
-            out = nbrs[self._alive[nbrs]]
+            out = nbrs[self.store.alive[nbrs]]
             self._alive_nbr_cache[i] = out
         return out
 
@@ -294,9 +282,6 @@ class Network:
     # liveness maintenance (listener target; see Node.bind_alive_listener)
     # ------------------------------------------------------------------
     def _on_alive_change(self, node_id: int, alive: bool) -> None:
-        if bool(self._alive[node_id]) == bool(alive):
-            return
-        self._alive[node_id] = alive
         self._alive_version += 1
         self._csr_cache.pop(True, None)
         self._alive_nbr_cache.clear()
@@ -308,7 +293,7 @@ class Network:
             g.add_node(node_id, kind=self.nodes[node_id].kind)
             for j in self.neighbors(node_id):
                 jj = int(j)
-                if self._alive[jj]:
+                if self.store.alive[jj]:
                     g.add_edge(node_id, jj, weight=1.0)
         elif node_id in g:
             g.remove_node(node_id)
@@ -332,7 +317,7 @@ class Network:
             if not alive_only or version == self._alive_version:
                 return g
         g = nx.Graph()
-        alive = self._alive
+        alive = self.store.alive
         for node in self.nodes:
             if alive_only and not alive[node.node_id]:
                 continue
@@ -365,7 +350,8 @@ class Network:
         if alive_only:
             # Keep an entry iff both endpoints are alive; the segmented
             # cumulative-sum trick rebuilds indptr without a Python loop.
-            keep = self._alive[flat] & np.repeat(self._alive, lens)
+            alive = self.store.alive
+            keep = alive[flat] & np.repeat(alive, lens)
             kept = np.zeros(len(flat) + 1, dtype=np.int64)
             np.cumsum(keep, out=kept[1:])
             indices = flat[keep]
@@ -388,7 +374,8 @@ class Network:
         """
         n = len(self.nodes)
         if alive_only:
-            valid = sorted({int(t) for t in targets if 0 <= int(t) < n and self._alive[int(t)]})
+            alive = self.store.alive
+            valid = sorted({int(t) for t in targets if 0 <= int(t) < n and alive[int(t)]})
         else:
             valid = sorted({int(t) for t in targets if 0 <= int(t) < n})
         if not valid:
@@ -440,7 +427,6 @@ def build_sensor_network(
     gateway_positions: np.ndarray,
     comm_range: float = 40.0,
     sensor_battery: float = math.inf,
-    soa: bool = True,
 ) -> Network:
     """Assemble a sensor-tier :class:`Network`: sensors first, then gateways.
 
@@ -453,6 +439,4 @@ def build_sensor_network(
         gateway_positions = gateway_positions.reshape(1, 2)
     positions = np.vstack([sensor_positions, gateway_positions])
     kinds = [NodeKind.SENSOR] * len(sensor_positions) + [NodeKind.GATEWAY] * len(gateway_positions)
-    return Network(
-        positions, kinds, comm_range=comm_range, sensor_battery=sensor_battery, soa=soa,
-    )
+    return Network(positions, kinds, comm_range=comm_range, sensor_battery=sensor_battery)

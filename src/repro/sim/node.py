@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.sim.energy import EnergyAccount
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.energy import EnergyAccount
     from repro.sim.packet import Packet
+    from repro.sim.state import NodeStateStore
 
 __all__ = ["NodeKind", "Node"]
 
@@ -45,81 +44,84 @@ class NodeKind(enum.Enum):
         return self in (NodeKind.GATEWAY, NodeKind.BASE_STATION)
 
 
-@dataclass
 class Node:
-    """A single network node.
+    """A single network node: one row of a
+    :class:`~repro.sim.state.NodeStateStore`.
 
-    The node itself is a thin container: position lives in the
+    The node holds no state of its own: position lives in the
     :class:`~repro.sim.network.Network` arrays (vectorised neighbor math),
-    behaviour lives in the protocol that registers ``handler``.
+    liveness, battery and the registered ``handler`` live in the store's
+    columns, and behaviour lives in the protocol that registers
+    ``handler``.  Protocols, fault injection and analysis read and write
+    nodes; the radio's hot path reads the columns directly.
 
     Attributes
     ----------
     node_id:
-        Index into the network's position arrays.
+        Index into the network's position arrays and the store's rows.
     kind:
         Role (sensor / gateway / mesh router / base station).
     energy:
-        Battery account; infinite for mains-powered kinds by default.
+        Battery account (an :class:`~repro.sim.energy.EnergyAccount` row);
+        infinite for mains-powered kinds.
     handler:
         Callback invoked with each successfully received packet.
     failed:
         Set by fault-injection experiments; a failed node neither sends
         nor receives but keeps its residual energy (hardware fault, not
         battery exhaustion).
+    sleeping:
+        Radio off under topology control (Section 4.4).
     """
 
-    node_id: int
-    kind: NodeKind
-    energy: EnergyAccount = field(default_factory=lambda: EnergyAccount(capacity=math.inf))
-    handler: Optional[Callable[["Packet"], None]] = None
-    failed: bool = False
-    sleeping: bool = False
+    __slots__ = ("_store", "node_id", "kind")
 
-    # Class-level defaults: no listener until the network binds one, so the
-    # dataclass __init__ and listener-free nodes stay on the fast path.
-    _alive_listener: Optional[Callable[[int, bool], None]] = None
-    #: last liveness value the listener saw — the edge detector that
-    #: guarantees exactly one notification per actual alive flip, no
-    #: matter which path (fail/sleep/recover/battery death/energy swap)
-    #: triggered the check.
-    _last_alive: bool = True
+    def __init__(self, store: "NodeStateStore", node_id: int) -> None:
+        self._store = store
+        self.node_id = node_id
+        self.kind: NodeKind = store.kinds[node_id]
+
+    @property
+    def handler(self) -> Optional[Callable[["Packet"], None]]:
+        return self._store.handlers[self.node_id]
+
+    @handler.setter
+    def handler(self, fn: Optional[Callable[["Packet"], None]]) -> None:
+        self._store.handlers[self.node_id] = fn
+
+    @property
+    def failed(self) -> bool:
+        return bool(self._store.failed[self.node_id])
+
+    @failed.setter
+    def failed(self, value: bool) -> None:
+        self._store.set_failed(self.node_id, value)
+
+    @property
+    def sleeping(self) -> bool:
+        return bool(self._store.sleeping[self.node_id])
+
+    @sleeping.setter
+    def sleeping(self, value: bool) -> None:
+        self._store.set_sleeping(self.node_id, value)
+
+    @property
+    def energy(self) -> "EnergyAccount":
+        return self._store.energy_view(self.node_id)
 
     def bind_alive_listener(self, listener: Callable[[int, bool], None]) -> None:
         """Register ``listener(node_id, alive)``, fired on liveness flips.
 
-        The :class:`~repro.sim.network.Network` binds this to maintain its
-        NumPy alive mask incrementally.  Every way a node's ``alive`` can
-        change is covered: ``failed``/``sleeping`` assignments are caught
-        by :meth:`__setattr__`, battery exhaustion by the energy account's
-        ``on_death`` hook (re-bound if ``energy`` is swapped out).  The
-        listener fires exactly once per actual flip: a battery dying on a
+        The :class:`~repro.sim.network.Network` binds this to keep its
+        topology caches current.  Every way a node's ``alive`` can change
+        (``failed``/``sleeping`` writes, battery exhaustion, a shard's
+        halo mirror) funnels through
+        :meth:`~repro.sim.state.NodeStateStore.refresh_alive`, which fires
+        the listener exactly once per actual flip: a battery dying on a
         node that is already failed or sleeping changes nothing and stays
         silent.
         """
-        object.__setattr__(self, "_alive_listener", listener)
-        object.__setattr__(self, "_last_alive", self.alive)
-        self.energy.on_death = self._notify_alive
-
-    def _notify_alive(self) -> None:
-        if self._alive_listener is None:
-            return
-        now = self.alive
-        if now != self._last_alive:
-            object.__setattr__(self, "_last_alive", now)
-            self._alive_listener(self.node_id, now)
-
-    def __setattr__(self, name: str, value) -> None:
-        listener = self.__dict__.get("_alive_listener")
-        if listener is None:
-            object.__setattr__(self, name, value)
-            return
-        object.__setattr__(self, name, value)
-        if name in ("failed", "sleeping"):
-            self._notify_alive()
-        elif name == "energy":
-            value.on_death = self._notify_alive
-            self._notify_alive()
+        self._store.bind_alive_listener(self.node_id, listener)
 
     @property
     def alive(self) -> bool:
@@ -129,22 +131,27 @@ class Node:
         it neither transmits nor receives until woken, but unlike a failed
         node it resumes seamlessly.
         """
-        return self.energy.alive and not self.failed and not self.sleeping
+        return self._store.alive_list[self.node_id]
 
     @property
     def died_at(self) -> Optional[float]:
         """Battery-death time, or None while the battery lives.
 
-        Same contract as the struct-of-arrays ``NodeView.died_at``:
-        battery exhaustion only — injected failures keep residual energy
+        Battery exhaustion only — injected failures keep residual energy
         and leave this None.
         """
-        return self.energy.died_at
+        v = self._store.died_at[self.node_id]
+        return None if math.isnan(v) else float(v)
 
     def receive(self, packet: "Packet") -> None:
-        """Hand a delivered packet to the registered protocol handler."""
-        if self.handler is not None and self.alive:
-            self.handler(packet)
+        """Hand a delivered packet to the registered protocol handler,
+        if the node is alive.  (The radio reads the store's ``handlers``
+        column directly.)"""
+        store = self._store
+        i = self.node_id
+        handler = store.handlers[i]
+        if handler is not None and store.alive_list[i]:
+            handler(packet)
 
     def fail(self) -> None:
         """Inject a hardware failure (robustness experiments, E9)."""
@@ -155,11 +162,14 @@ class Node:
 
         Returns whether the node is actually alive afterwards.  A node
         whose battery died while (or before) it was failed stays dead:
-        the cleared flag never signals an alive transition, because
-        :meth:`__setattr__` only notifies when :attr:`alive` really
-        flips — battery exhaustion is permanent, hardware faults are
-        not.  Callers that rejoin the node to a protocol (the fault
-        injector) must check the return value before re-announcing.
+        the cleared flag never signals an alive transition, because the
+        store only notifies when :attr:`alive` really flips — battery
+        exhaustion is permanent, hardware faults are not.  Callers that
+        rejoin the node to a protocol (the fault injector) must check the
+        return value before re-announcing.
         """
         self.failed = False
         return self.alive
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Node(node_id={self.node_id!r}, kind={self.kind!r}, alive={self.alive!r})"

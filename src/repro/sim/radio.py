@@ -165,15 +165,14 @@ class Channel:
         # With carrier sensing and collision detection both off, nothing
         # ever reads the medium bookkeeping — skip it on the hot path.
         self._medium_observed = config.csma or config.collisions
-        #: the network's struct-of-arrays core, when it has one
-        self._store = getattr(network, "store", None)
-        # Batched same-timestamp delivery draining requires columnar
-        # state and an unobserved medium (CSMA deferrals and collision
-        # records are inherently per-reception); worlds that fail either
-        # condition fall back to per-event delivery.  LinkDegrade fault
-        # windows only swap loss_rate/burst, so the gate is stable for a
-        # channel's lifetime.
-        self._batched = self._store is not None and not self._medium_observed
+        #: the network's struct-of-arrays node state
+        self._store = network.store
+        # Batched same-timestamp delivery draining requires an unobserved
+        # medium (CSMA deferrals and collision records are inherently
+        # per-reception); worlds that observe it use per-event delivery.
+        # LinkDegrade fault windows only swap loss_rate/burst, so the
+        # gate is stable for a channel's lifetime.
+        self._batched = not self._medium_observed
         # Pending broadcast deliveries as one flat sorted buffer of
         # ``(time, seq, node, rx_joules, packet, kind)`` entries with a
         # consume cursor.  New fan-out runs bisect-insert into the
@@ -398,8 +397,7 @@ class Channel:
         frame's link source is stamped to ``sender``; ``packet.dst`` decides
         unicast (one intended receiver) vs broadcast (all neighbors).
         """
-        node = self.network.nodes[sender]
-        if not node.alive:
+        if not self._store.alive_list[sender]:
             # A dead sender holds the only copy of whatever it carries —
             # terminal for any datum aboard.
             self.metrics.on_terminal_drop("dead_node", packet, node=sender, now=self.sim.now)
@@ -418,8 +416,8 @@ class Channel:
 
     # ------------------------------------------------------------------
     def _begin_tx(self, sender: int, packet: Packet, attempt: int = 0) -> None:
-        node = self.network.nodes[sender]
-        if not node.alive:
+        store = self._store
+        if not store.alive_list[sender]:
             # Sender died between queuing and transmit — the frame (and
             # any datum it carries) dies with it.
             self.metrics.on_terminal_drop("dead_node", packet, node=sender, now=self.sim.now)
@@ -432,10 +430,9 @@ class Channel:
             free = self.medium.earliest_free(hearers, sender, self.sim.now)
             if free > self.sim.now:
                 backoff = self._jitter(sender)
-                if self._store is not None:
-                    # Columnar observability: when this node's current
-                    # hold-off expires (absolute time).
-                    self._store.backoff[sender] = free + backoff
+                # Columnar observability: when this node's current
+                # hold-off expires (absolute time).
+                store.backoff[sender] = free + backoff
                 self.sim.schedule(
                     free - self.sim.now + backoff, self._begin_tx, sender, packet, attempt
                 )
@@ -451,9 +448,7 @@ class Channel:
         # The paper's identical-power assumption: every frame is amplified
         # to cover the full communication range (Section 5.2).
         tx_joules = self.energy_model.tx_cost(bits, self.config.comm_range)
-        was_alive = node.energy.alive
-        node.energy.charge_tx(tx_joules, start)
-        if was_alive and not node.energy.alive:
+        if store.charge_tx(sender, tx_joules, start) and not store.energy_alive[sender]:
             self.metrics.on_node_death(sender, start)
         self.metrics.on_send(packet)
 
@@ -678,7 +673,7 @@ class Channel:
           re-derived, since the new event may have to interleave;
         * energy charges, deaths and drops happen per entry in that exact
           order (one scalar store op each), so float accumulation order
-          matches the reference path bitwise.
+          matches per-event delivery bitwise.
 
         Only the ``received`` counters are coalesced (they are pure
         increments — addition order cannot be observed): consecutive
@@ -744,7 +739,7 @@ class Channel:
             i += 1
             if fast_l[nb]:
                 # Mains powered and alive: remaining stays inf (inf - j
-                # is inf bitwise, as the reference path computes it) and
+                # is inf bitwise, as a scalar charge computes it) and
                 # no death is possible — the charge is two adds.
                 spent_rx[nb] += rx_j
                 rx_count[nb] += 1
@@ -775,7 +770,7 @@ class Channel:
                             bs = top[1]
             elif alive_l[nb]:
                 # Finite battery: full scalar charge with the death
-                # bookkeeping of the reference path.
+                # bookkeeping of per-event delivery.
                 store.charge_rx(nb, rx_j, t)
                 if not store.energy_alive[nb]:
                     # Battery died mid-reception; the frame was never
@@ -835,7 +830,7 @@ class Channel:
                 "arq_exhausted", packet, node=sender, now=self.sim.now
             )
             return
-        if not self.network.nodes[sender].alive:
+        if not self._store.alive_list[sender]:
             # The retransmitter died between the failed attempt and the
             # retry: the frame vanished silently before this fix.
             self.metrics.on_terminal_drop("dead_node", packet, node=sender, now=self.sim.now)
@@ -853,8 +848,8 @@ class Channel:
 
     def _deliver_direct(self, receiver: int, packet: Packet, sender: int, attempt: int) -> None:
         """Reception without medium bookkeeping (collision-free radios)."""
-        node = self.network.nodes[receiver]
-        if not node.alive:
+        store = self._store
+        if not store.alive_list[receiver]:
             # Unicast to a dead receiver gets no ACK and no retry event:
             # terminal for the frame's datum.  A broadcast copy is only a
             # frame-level loss — sibling copies may still deliver.
@@ -865,19 +860,18 @@ class Channel:
             else:
                 self.metrics.on_drop("dead_node")
             return
-        bits = packet.size_bits()
-        was_alive = node.energy.alive
-        node.energy.charge_rx(self.energy_model.rx_cost(bits), self.sim.now)
-        if was_alive and not node.energy.alive:
-            self.metrics.on_node_death(receiver, self.sim.now)
+        now = self.sim.now
+        rx_joules = self.energy_model.rx_cost(packet.size_bits())
+        if store.charge_rx(receiver, rx_joules, now) and not store.energy_alive[receiver]:
+            self.metrics.on_node_death(receiver, now)
             # The receiver's battery died mid-reception — the frame was
             # never processed, and nothing else will account for it.
             if packet.dst is not None:
-                self.metrics.on_terminal_drop(
-                    "dead_node", packet, node=receiver, now=self.sim.now
-                )
+                self.metrics.on_terminal_drop("dead_node", packet, node=receiver, now=now)
             else:
                 self.metrics.on_drop("dead_node")
             return
         self.metrics.on_receive(packet)
-        node.receive(packet)
+        handler = store.handlers[receiver]
+        if handler is not None:
+            handler(packet)

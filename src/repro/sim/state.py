@@ -1,42 +1,38 @@
-"""Struct-of-arrays node state: the columnar core behind the object API.
+"""Struct-of-arrays node state: the one home of every node's state.
 
 :class:`NodeStateStore` keeps every *hot* per-node scalar — battery
 columns, liveness flags, tx/rx counters, protocol queue depths, the
 best-route summary and CSMA backoff state — in contiguous NumPy arrays
-(one array per column: the classic struct-of-arrays layout), while
-:class:`NodeView` / :class:`EnergyView` re-present single rows through
-exactly the surface of :class:`repro.sim.node.Node` and
-:class:`repro.sim.energy.EnergyAccount`.  Protocols, fault injection and
-analysis code keep talking to "node objects"; the radio hot path talks to
-the columns directly (:meth:`NodeStateStore.charge`,
-:meth:`NodeStateStore.alive_view`), which is what makes batched
-same-timestamp delivery draining (see :meth:`repro.sim.radio.Channel`)
-one vector operation instead of thousands of attribute chains.
+(one array per column: the classic struct-of-arrays layout).  A
+:class:`~repro.sim.node.Node` is one row of a store and its
+:class:`~repro.sim.energy.EnergyAccount` is that row's battery columns:
+protocols, fault injection and analysis code talk to nodes, while the
+radio hot path talks to the columns directly
+(:meth:`NodeStateStore.charge_rx`, the ``*_list`` mirrors,
+``handlers``), which is what makes batched same-timestamp delivery
+draining (see :class:`repro.sim.radio.Channel`) cheap per reception.
 
-Bit-identity contract
----------------------
-The store is not an approximation of the object path — it *is* the object
-path, re-laid-out.  Every scalar operation replicates the corresponding
-``EnergyAccount`` / ``Node`` code word for word (same IEEE-754 double
-arithmetic, same comparison and death-at-drain semantics, same
-edge-detected liveness notification), so a world built over a store
-produces bit-identical metrics rows, RNG streams and conservation ledgers
-to one built over plain objects.  The SoA equivalence suite
-(``tests/test_soa_equivalence.py``) compares the two directly, the
-hot-path benchmark gates on one shared ``run_digest`` across its legs,
-and the recorded golden digests (``tests/golden/``) pin the store path's
-run digest, per-node RNG states, energy column bytes and ledger totals.
+Arithmetic contract
+-------------------
+Every battery charge is one IEEE-754 double subtraction from
+``remaining`` and one addition to the matching ``spent_*`` cell, with
+death at the drain that takes ``remaining`` to zero or below on a
+finite battery.  The batched pump and the per-event path apply the same
+operations in the same order, so both delivery modes leave identical
+column bytes.  The recorded golden digests (``tests/golden/``) pin the
+run digest, per-node RNG states, energy column bytes and ledger totals
+of a matrix of small worlds; the hot-path benchmark gates its legs on
+one shared ``run_digest``.
 
 View invalidation
 -----------------
-Views never cache row values — every property reads the column at access
+Rows never cache values — every property reads the column at access
 time — so there is nothing to invalidate when the store mutates.  The
 one derived column, ``alive``, is *maintained*: every mutation that can
-flip liveness (battery death, ``failed``/``sleeping`` writes, an energy
-reload) funnels through :meth:`NodeStateStore.refresh_alive`, which
+flip liveness (battery death, ``failed``/``sleeping`` writes, a shard's
+halo mirror) funnels through :meth:`NodeStateStore.refresh_alive`, which
 edge-detects against the stored value and fires the per-node listener
-exactly once per actual flip — the same contract as
-``Node.bind_alive_listener``.  Arrays returned by :meth:`alive_view` /
+exactly once per actual flip.  Arrays returned by :meth:`alive_view` /
 :meth:`route_columns` are live read-only windows onto the columns: they
 reflect later mutations and must never be written through.
 """
@@ -44,18 +40,18 @@ reflect later mutations and must never be written through.
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.sim.node import NodeKind
+from repro.sim.energy import EnergyAccount
+from repro.sim.node import Node, NodeKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.packet import Packet
 
-__all__ = ["NodeStateStore", "EnergyView", "NodeView"]
+__all__ = ["NodeStateStore", "NodeView"]
 
 #: Sentinel for "no route installed" in the ``next_hop`` column.
 NO_ROUTE = -1
@@ -83,8 +79,8 @@ class NodeStateStore:
     ``capacity, remaining, spent_tx, spent_rx, spent_idle`` : float64
         The :class:`~repro.sim.energy.EnergyAccount` fields.
     ``died_at`` : float64
-        Battery-death time; ``nan`` while the battery lives (the
-        object path's ``None``).
+        Battery-death time; ``nan`` while the battery lives (read as
+        ``None`` through a row).
     ``energy_alive, failed, sleeping, alive, finite`` : bool
         Liveness flags; ``alive`` is the maintained conjunction
         ``energy_alive & ~failed & ~sleeping``; ``finite`` marks rows
@@ -92,13 +88,12 @@ class NodeStateStore:
         fast path requires an all-infinite run — see
         :meth:`charge`).
     ``tx_count, rx_count`` : Python int lists
-        Frames transmitted / received per node (per-node observability
-        the object path never had; not part of the bit-identity set).
-        These two columns are plain Python lists rather than arrays:
-        they are bumped once per delivered frame on the pump hot path,
-        integer increments are order-free, and a list index costs a
-        fraction of a NumPy scalar access — :meth:`counter_columns`
-        materializes int64 arrays on demand.
+        Frames transmitted / received per node.  These two columns are
+        plain Python lists rather than arrays: they are bumped once per
+        delivered frame on the pump hot path, integer increments are
+        order-free, and a list index costs a fraction of a NumPy scalar
+        access — :meth:`counter_columns` materializes int64 arrays on
+        demand.
     ``queue_depth`` : int64
         Payloads waiting in the owning protocol's pending queue.
     ``next_hop, route_seq`` : int64
@@ -117,7 +112,7 @@ class NodeStateStore:
         "alive", "finite", "finite_count", "tx_count", "rx_count",
         "queue_depth", "next_hop", "route_seq", "backoff", "handlers",
         "alive_list", "finite_list", "fast_list", "_listeners",
-        "_death_hooks", "_energy_views",
+        "_energy_views",
     )
 
     def __init__(self, kinds: Sequence[NodeKind], capacities: Sequence[float]) -> None:
@@ -158,8 +153,7 @@ class NodeStateStore:
         self.finite_list: list[bool] = [bool(f) for f in self.finite]
         self.fast_list: list[bool] = [not f for f in self.finite_list]
         self._listeners: list[Optional[Callable[[int, bool], None]]] = [None] * n
-        self._death_hooks: list[Optional[Callable[[], None]]] = [None] * n
-        self._energy_views: list[Optional[EnergyView]] = [None] * n
+        self._energy_views: list[Optional[EnergyAccount]] = [None] * n
 
     # ------------------------------------------------------------------
     # public column windows
@@ -171,12 +165,6 @@ class NodeStateStore:
     def route_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(next_hop, route_seq)`` windows (see class docs)."""
         return _readonly(self.next_hop), _readonly(self.route_seq)
-
-    def energy_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(remaining, spent)`` windows; ``spent`` is computed."""
-        spent = self.spent_tx + self.spent_rx + self.spent_idle
-        spent.flags.writeable = False
-        return _readonly(self.remaining), spent
 
     def counter_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """``(tx_count, rx_count)`` materialized as int64 arrays."""
@@ -213,13 +201,16 @@ class NodeStateStore:
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    def node_view(self, node_id: int) -> "NodeView":
-        return NodeView(self, node_id)
+    def node_view(self, node_id: int) -> Node:
+        """Row ``node_id`` as a :class:`~repro.sim.node.Node`."""
+        return Node(self, node_id)
 
-    def energy_view(self, node_id: int) -> "EnergyView":
+    def energy_view(self, node_id: int) -> EnergyAccount:
+        """Row ``node_id``'s battery as an
+        :class:`~repro.sim.energy.EnergyAccount` (one per row, cached)."""
         view = self._energy_views[node_id]
         if view is None:
-            view = EnergyView(self, node_id)
+            view = EnergyAccount(self, node_id)
             self._energy_views[node_id] = view
         return view
 
@@ -229,9 +220,8 @@ class NodeStateStore:
     def refresh_alive(self, i: int) -> None:
         """Re-derive ``alive[i]``; edge-detect and notify the listener.
 
-        Exactly mirrors ``Node._notify_alive``: the listener fires once
-        per actual flip, and a battery dying on an already-failed node
-        stays silent.
+        The listener fires once per actual flip, and a battery dying on
+        an already-failed node stays silent.
         """
         now_alive = bool(
             self.energy_alive[i] and not self.failed[i] and not self.sleeping[i]
@@ -283,63 +273,54 @@ class NodeStateStore:
             self.refresh_alive(i)
 
     def _kill_battery(self, i: int, now: float) -> None:
-        """Battery exhaustion: matches ``EnergyAccount._drain``'s death arm."""
+        """Battery exhaustion: permanent, timestamped, then a liveness flip."""
         self.remaining[i] = 0.0
         self.died_at[i] = now
         self.energy_alive[i] = False
-        hook = self._death_hooks[i]
-        if hook is not None:
-            hook()
         self.refresh_alive(i)
 
     # ------------------------------------------------------------------
-    # scalar energy ops (EnergyAccount replicas, see bit-identity contract)
+    # scalar energy ops (see the arithmetic contract)
     # ------------------------------------------------------------------
-    def _drain(self, i: int, joules: float, now: float) -> bool:
+    def _charge(self, i: int, joules: float, now: float, spent, counts) -> bool:
+        """Drain ``joules`` from row ``i`` and book them in ``spent``
+        (bumping ``counts``, when given); False if the battery was dead."""
         if not self.energy_alive[i]:
             return False
         r = float(self.remaining[i]) - joules
         self.remaining[i] = r
         if r <= 0 and self.finite[i]:
             self._kill_battery(i, now)
+        spent[i] += joules
+        if counts is not None:
+            counts[i] += 1
         return True
 
     def charge_tx(self, i: int, joules: float, now: float) -> bool:
         """Charge one transmission; returns False if the battery was dead."""
-        ok = self._drain(i, joules, now)
-        if ok:
-            self.spent_tx[i] += joules
-            self.tx_count[i] += 1
-        return ok
+        return self._charge(i, joules, now, self.spent_tx, self.tx_count)
 
     def charge_rx(self, i: int, joules: float, now: float) -> bool:
         """Charge one reception; returns False if the battery was dead."""
-        ok = self._drain(i, joules, now)
-        if ok:
-            self.spent_rx[i] += joules
-            self.rx_count[i] += 1
-        return ok
+        return self._charge(i, joules, now, self.spent_rx, self.rx_count)
 
     def charge_idle(self, i: int, joules: float, now: float) -> bool:
         """Charge idle listening; returns False if the battery was dead."""
-        ok = self._drain(i, joules, now)
-        if ok:
-            self.spent_idle[i] += joules
-        return ok
+        return self._charge(i, joules, now, self.spent_idle, None)
 
     # ------------------------------------------------------------------
-    # batched energy ops (the drain hot path)
+    # batched energy op
     # ------------------------------------------------------------------
     def charge(self, ids: np.ndarray, joules: float, kind: str = "rx") -> None:
         """Charge every node in ``ids`` with ``joules`` as one vector op.
 
         Only valid for a run of *distinct, alive, infinite-capacity*
-        receivers (:meth:`batchable`): an infinite battery's
-        ``remaining`` stays ``inf`` under any finite subtraction, no
-        death can occur, and each ``spent_*`` cell receives exactly one
-        addition, so there is no accumulation order to preserve — which
-        is what makes the vector form bit-identical to per-entry scalar
-        charges.
+        rows: an infinite battery's ``remaining`` stays ``inf`` under any
+        finite subtraction, no death can occur, and each ``spent_*`` cell
+        receives exactly one addition, so there is no accumulation order
+        to preserve — which is what makes the vector form bit-identical
+        to per-row scalar charges.  The delivery pump applies the same
+        two additions inline per drained entry instead of calling this.
         """
         self.remaining[ids] -= joules
         if kind == "rx":
@@ -353,35 +334,6 @@ class NodeStateStore:
             return
         for i in ids:
             counts[i] += 1
-
-    def batchable(self, ids: np.ndarray) -> bool:
-        """Whether :meth:`charge` is valid for this run of receivers:
-        every row alive, none with a finite battery."""
-        if self.finite_count and self.finite[ids].any():
-            return False
-        return bool(self.alive[ids].all())
-
-    # ------------------------------------------------------------------
-    # energy reload (Node.energy assignment parity)
-    # ------------------------------------------------------------------
-    def load_energy(self, i: int, account) -> None:
-        """Copy an :class:`~repro.sim.energy.EnergyAccount`'s fields into
-        row ``i`` (the object path's ``node.energy = account``)."""
-        self.capacity[i] = account.capacity
-        self.remaining[i] = account.remaining
-        self.spent_tx[i] = account.spent_tx
-        self.spent_rx[i] = account.spent_rx
-        self.spent_idle[i] = account.spent_idle
-        died = getattr(account, "died_at", None)
-        self.died_at[i] = np.nan if died is None else died
-        self.energy_alive[i] = died is None
-        finite = math.isfinite(account.capacity)
-        if finite != bool(self.finite[i]):
-            self.finite[i] = finite
-            self.finite_list[i] = finite
-            self.finite_count += 1 if finite else -1
-        self.refresh_alive(i)
-        self.fast_list[i] = self.alive_list[i] and not finite
 
     # ------------------------------------------------------------------
     # routing / queue columns (maintained by the protocol layer)
@@ -419,172 +371,5 @@ class NodeStateStore:
             self.route_seq[i] = seq
 
 
-class EnergyView(object):
-    """One store row presented as an :class:`~repro.sim.energy.EnergyAccount`.
-
-    Supports every read and mutation the codebase performs on an account
-    (fault injection drains batteries, LEACH cross-charges cluster heads,
-    analysis sums ``spent``).  Scalars come back as Python floats, so
-    downstream arithmetic is literally the same operations the object
-    path performs.
-    """
-
-    __slots__ = ("_store", "_i")
-
-    def __init__(self, store: NodeStateStore, i: int) -> None:
-        object.__setattr__(self, "_store", store)
-        object.__setattr__(self, "_i", i)
-
-    # -- EnergyAccount fields ------------------------------------------
-    @property
-    def capacity(self) -> float:
-        return float(self._store.capacity[self._i])
-
-    @property
-    def remaining(self) -> float:
-        return float(self._store.remaining[self._i])
-
-    @remaining.setter
-    def remaining(self, value: float) -> None:
-        self._store.remaining[self._i] = value
-
-    @property
-    def spent_tx(self) -> float:
-        return float(self._store.spent_tx[self._i])
-
-    @property
-    def spent_rx(self) -> float:
-        return float(self._store.spent_rx[self._i])
-
-    @property
-    def spent_idle(self) -> float:
-        return float(self._store.spent_idle[self._i])
-
-    @property
-    def died_at(self) -> Optional[float]:
-        v = self._store.died_at[self._i]
-        return None if math.isnan(v) else float(v)
-
-    @property
-    def on_death(self) -> Optional[Callable[[], None]]:
-        return self._store._death_hooks[self._i]
-
-    @on_death.setter
-    def on_death(self, hook: Optional[Callable[[], None]]) -> None:
-        self._store._death_hooks[self._i] = hook
-
-    # -- EnergyAccount API ---------------------------------------------
-    @property
-    def alive(self) -> bool:
-        return bool(self._store.energy_alive[self._i])
-
-    @property
-    def spent(self) -> float:
-        return self.spent_tx + self.spent_rx + self.spent_idle
-
-    def charge_tx(self, joules: float, now: float) -> bool:
-        return self._store.charge_tx(self._i, joules, now)
-
-    def charge_rx(self, joules: float, now: float) -> bool:
-        return self._store.charge_rx(self._i, joules, now)
-
-    def charge_idle(self, joules: float, now: float) -> bool:
-        return self._store.charge_idle(self._i, joules, now)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EnergyView(node={self._i}, capacity={self.capacity!r}, "
-            f"remaining={self.remaining!r}, spent={self.spent!r})"
-        )
-
-
-class NodeView(object):
-    """One store row presented as a :class:`~repro.sim.node.Node`.
-
-    ``node_id`` and ``kind`` are plain attributes (immutable per row);
-    everything stateful routes through the store, including the
-    edge-detected alive-listener contract the network's maintained masks
-    rely on.
-    """
-
-    __slots__ = ("_store", "node_id", "kind")
-
-    def __init__(self, store: NodeStateStore, node_id: int) -> None:
-        object.__setattr__(self, "_store", store)
-        object.__setattr__(self, "node_id", node_id)
-        object.__setattr__(self, "kind", store.kinds[node_id])
-
-    # -- stateful fields ------------------------------------------------
-    @property
-    def handler(self) -> Optional[Callable[["Packet"], None]]:
-        return self._store.handlers[self.node_id]
-
-    @handler.setter
-    def handler(self, fn: Optional[Callable[["Packet"], None]]) -> None:
-        self._store.handlers[self.node_id] = fn
-
-    @property
-    def failed(self) -> bool:
-        return bool(self._store.failed[self.node_id])
-
-    @failed.setter
-    def failed(self, value: bool) -> None:
-        self._store.set_failed(self.node_id, value)
-
-    @property
-    def sleeping(self) -> bool:
-        return bool(self._store.sleeping[self.node_id])
-
-    @sleeping.setter
-    def sleeping(self, value: bool) -> None:
-        self._store.set_sleeping(self.node_id, value)
-
-    @property
-    def energy(self) -> EnergyView:
-        return self._store.energy_view(self.node_id)
-
-    @energy.setter
-    def energy(self, account) -> None:
-        if not isinstance(account, EnergyView):
-            self._store.load_energy(self.node_id, account)
-
-    # -- Node API --------------------------------------------------------
-    def bind_alive_listener(self, listener: Callable[[int, bool], None]) -> None:
-        """Register ``listener(node_id, alive)``; same edge-detection
-        contract as :meth:`repro.sim.node.Node.bind_alive_listener`."""
-        self._store.bind_alive_listener(self.node_id, listener)
-
-    @property
-    def alive(self) -> bool:
-        return self._store.alive_list[self.node_id]
-
-    @property
-    def died_at(self) -> Optional[float]:
-        """Battery-death time, or None while the battery lives (the
-        same contract as ``Node.died_at`` on the object path)."""
-        v = self._store.died_at[self.node_id]
-        return None if math.isnan(v) else float(v)
-
-    def receive(self, packet: "Packet") -> None:
-        """Hand a delivered packet to the registered protocol handler."""
-        store = self._store
-        i = self.node_id
-        handler = store.handlers[i]
-        if handler is not None and store.alive_list[i]:
-            handler(packet)
-
-    def fail(self) -> None:
-        """Inject a hardware failure (robustness experiments, E9)."""
-        self.failed = True
-
-    def recover(self) -> bool:
-        """Clear an injected failure; returns whether the node is alive
-        afterwards (battery exhaustion is permanent, faults are not)."""
-        self.failed = False
-        return self.alive
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"NodeView(node_id={self.node_id!r}, kind={self.kind!r}, "
-            f"alive={self.alive!r})"
-        )
+#: The row class under its former name.
+NodeView = Node

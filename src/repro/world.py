@@ -68,26 +68,26 @@ __all__ = [
 class WorldConfig:
     """Execution configuration of a world, as one serializable value.
 
-    These are the settings that select *how* a world runs, never *what*
-    it computes: every combination must produce bit-identical metrics
-    rows, RNG streams and conservation ledgers (the SoA equivalence
-    suite, the shard suite and the recorded golden digests hold each
-    axis to that).  Consolidating them in one frozen dataclass means
-    experiments thread a single ``world`` value into their
-    :class:`~repro.runner.spec.ExperimentSpec` params — so SoA and
-    object-path runs hash to distinct cache keys and replay independently
-    — instead of sprinkling ``audit=``/``faults=`` kwargs through every
-    entry point.
+    Five settings: the conservation audit, an optional fault plan, and
+    how a sharded execution is split and checkpointed.  The execution
+    settings select *how* a world runs, never *what* it computes —
+    sharded and checkpointed runs produce bit-identical metrics rows,
+    RNG streams and conservation ledgers to the in-process run (the
+    shard suite and the recorded golden digests hold them to that).
+    Consolidating them in one frozen dataclass means experiments thread
+    a single ``world`` value into their
+    :class:`~repro.runner.spec.ExperimentSpec` params — so cells with
+    different audit or fault settings hash to distinct cache keys and
+    replay independently — instead of sprinkling ``audit=``/``faults=``
+    kwargs through every entry point.
+
+    Node state always lives in a :class:`~repro.sim.state.NodeStateStore`.
+    Same-timestamp broadcast deliveries drain in batches unless the
+    radio observes the medium (CSMA or collision detection), in which
+    case they are delivered per event.
 
     Attributes
     ----------
-    soa:
-        Keep node state in a :class:`~repro.sim.state.NodeStateStore`
-        and drain same-timestamp broadcast deliveries in batches.
-        ``False`` is the per-object reference path.  Worlds whose radio
-        observes the medium (CSMA or collision detection) automatically
-        fall back to per-event delivery even with ``soa=True``; the
-        store still carries their node state.
     audit:
         ``True`` forces the packet-conservation ledger on, ``False``
         forces it off, ``None`` defers to the ``REPRO_AUDIT`` default.
@@ -117,7 +117,6 @@ class WorldConfig:
         one) and are ignored by the runner's cache key.
     """
 
-    soa: bool = True
     audit: Optional[bool] = None
     faults: Optional[Any] = None
     shards: int = 1
@@ -149,17 +148,11 @@ class WorldConfig:
         # Shard-incompatible compositions fail where the config is
         # written, not windows-deep inside a worker (repro.shard applies
         # the same checks against its final shard count).
-        if self.shards > 1:
-            if not self.soa:
-                raise ConfigurationError(
-                    "shards > 1 requires soa=True (halo alive/route mirroring "
-                    "and per-node counters live on the struct-of-arrays store)"
-                )
-            if self.faults is not None:
-                raise ConfigurationError(
-                    "shards > 1 cannot arm a fault plan: the injector would "
-                    "fire on every shard's replicated copy of a node"
-                )
+        if self.shards > 1 and self.faults is not None:
+            raise ConfigurationError(
+                "shards > 1 cannot arm a fault plan: the injector would "
+                "fire on every shard's replicated copy of a node"
+            )
 
     def replace(self, **changes) -> "WorldConfig":
         """A copy with ``changes`` applied (fluent-builder backend)."""
@@ -398,7 +391,7 @@ class WorldBuilder:
         """Arbitrary node mix (mesh tiers: gateways/routers/base stations).
 
         Construction is deferred to :meth:`build` so later builder calls
-        (``comm_range``, ``soa``) still apply.
+        (``comm_range``) still apply.
         """
         self._node_spec = (np.asarray(positions, dtype=float), list(kinds), comm_range)
         return self
@@ -494,17 +487,6 @@ class WorldBuilder:
         self._config = self._config.replace(audit=enabled)
         return self
 
-    def soa(self, enabled: bool = True) -> "WorldBuilder":
-        """Toggle the struct-of-arrays node-state store (default on).
-
-        ``soa(False)`` selects the per-object reference path the SoA
-        equivalence suite compares against.  Ignored when :meth:`network`
-        supplies an already-built topology (its layout is fixed at
-        construction).
-        """
-        self._config = self._config.replace(soa=enabled)
-        return self
-
     # -- extras ---------------------------------------------------------
     def places(self, places: FeasiblePlaces) -> "WorldBuilder":
         """Feasible gateway places carried on the world (MLR rounds)."""
@@ -537,13 +519,12 @@ class WorldBuilder:
             )
         if self._network is not None:
             return self._network
-        cfg = self._config
         if self._node_spec is not None:
             positions, kinds, spec_range = self._node_spec
             rng = spec_range if spec_range is not None else self._comm_range
             if rng is None:
                 raise ConfigurationError("nodes() needs a comm_range (argument or comm_range())")
-            return Network(positions, kinds, comm_range=rng, soa=cfg.soa)
+            return Network(positions, kinds, comm_range=rng)
         if self._sensor_positions is None:
             raise ConfigurationError("no topology: call network(), nodes(), sensors() or a deployment method")
         if self._gateway_positions is None:
@@ -558,7 +539,6 @@ class WorldBuilder:
             self._gateway_positions,
             comm_range=comm_range,
             sensor_battery=self._sensor_battery,
-            soa=cfg.soa,
         )
 
     def build(self) -> World:

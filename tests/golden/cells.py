@@ -49,7 +49,8 @@ from repro.sim.network import grid_deployment, uniform_deployment
 from repro.sim.radio import IEEE802154, GilbertElliott
 from repro.world import WorldBuilder, WorldConfig
 
-#: The four radios of the matrix, from ideal to the full 802.15.4 MAC.
+#: Radios by name: the four of the matrix (:data:`MATRIX_RADIOS`), from
+#: ideal to the full 802.15.4 MAC, plus plain Bernoulli loss without ARQ.
 RADIOS = {
     "ideal": IEEE802154.ideal(),
     "lossy": dataclasses.replace(IEEE802154.ideal(), loss_rate=0.3, arq_retries=2),
@@ -59,7 +60,11 @@ RADIOS = {
         arq_retries=2,
     ),
     "csma": IEEE802154,
+    "loss15": dataclasses.replace(IEEE802154.ideal(), loss_rate=0.15),
+    "loss30": dataclasses.replace(IEEE802154.ideal(), loss_rate=0.3),
 }
+
+MATRIX_RADIOS = ("ideal", "lossy", "ge", "csma")
 
 PROTOCOLS = {"flooding": Flooding, "spr": SPR, "mlr": MLR, "secmlr": SecMLR}
 
@@ -241,7 +246,7 @@ def _matrix() -> list[Cell]:
     ))
     cells = []
     for proto in PROTOCOLS:
-        for radio in RADIOS:
+        for radio in MATRIX_RADIOS:
             for faulted in (False, True):
                 cells.append(Cell(
                     name=f"{proto}-{radio}-{'faults' if faulted else 'clean'}",
@@ -301,4 +306,40 @@ def _regressions() -> list[Cell]:
     return cells
 
 
-CELLS: dict[str, Cell] = {c.name: c for c in _matrix() + _regressions()}
+def _small_spr() -> list[Cell]:
+    """14 sensors and 2 gateways running SPR under Bernoulli loss, with
+    and without finite batteries, under two crashes, a recovery and a
+    battery drain that leaves its node to die mid-run when batteries
+    are finite (the scenario shape of the former randomized
+    store-vs-object equivalence property)."""
+    n = 14
+    plan = FaultPlan((
+        Crash(node=3, t=1.2),
+        BatteryDrain(node=8, t=2.0, fraction=0.995),
+        Recover(node=3, t=3.5),
+        Crash(node=10, t=5.0),
+    ))
+    traffic = tuple(sorted(
+        [(0.4 * i + 0.01, i) for i in range(n)]
+        + [(0.4 * i + 6.5, (i * 5) % n) for i in range(n)]
+    ))
+    return [
+        Cell(
+            name=f"uniform14-spr-{radio}-{'batt' if math.isfinite(battery) else 'mains'}",
+            protocol="spr",
+            radio=radio,
+            sensors=("uniform", n, 80.0, 11),
+            gateways=((40.0, 40.0), (15.0, 15.0)),
+            comm_range=35.0,
+            traffic=traffic,
+            seed=11,
+            battery=battery,
+            faults=plan,
+            table_answering=False,
+        )
+        for radio in ("loss15", "loss30")
+        for battery in (math.inf, 0.05)
+    ]
+
+
+CELLS: dict[str, Cell] = {c.name: c for c in _matrix() + _regressions() + _small_spr()}

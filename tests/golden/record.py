@@ -21,9 +21,12 @@ from tests.golden.cells import CELLS, SHARDED_KEYS, run_cell, run_cell_sharded
 FIXTURE = Path(__file__).with_name("digests.json")
 
 #: Execution variants every cell must agree across.  The fixture's
-#: ``variants`` list names the ones that agreed when it was recorded
-#: (the committed fixtures predate the removal of the scalar fan-out
-#: and the dense spatial index, and were recorded across both).
+#: ``variants`` list names the ones that agreed when it was recorded:
+#: the committed fixtures were recorded across the struct-of-arrays
+#: store and the since-removed per-object node state (compared on what
+#: both exposed: metrics, per-node energy bits, RNG states, ledger
+#: totals, events and end time), and most cells earlier across the
+#: since-removed scalar fan-out and dense spatial index.
 VARIANTS = {
     "default": WorldConfig(),
 }

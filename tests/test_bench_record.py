@@ -59,3 +59,10 @@ def test_missing_schema_key_is_rejected(record_mod, tmp_path):
     del rec["digest"]
     with pytest.raises(ValueError, match="digest"):
         record_mod.write_bench("x", rec, path=str(tmp_path / "b.json"))
+
+
+def test_record_carries_host_fingerprint(record_mod):
+    host = _record(record_mod)["host"]
+    assert set(host) == {"cpu_model", "cpu_count", "python", "numpy", "git_sha"}
+    assert host["cpu_count"] >= 1
+    assert host["python"].count(".") == 2

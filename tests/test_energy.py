@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.sim.energy import EnergyAccount, EnergyModel
+from repro.sim.energy import EnergyModel
+from repro.sim.node import NodeKind
+from repro.sim.state import NodeStateStore
 
 
 class TestEnergyModel:
@@ -55,13 +57,18 @@ class TestEnergyModel:
             EnergyModel(e_elec=-1e-9)
 
 
+def _account(capacity):
+    """A fresh sensor's battery: row 0 of a one-node store."""
+    return NodeStateStore([NodeKind.SENSOR], [capacity]).node_view(0).energy
+
+
 class TestEnergyAccount:
     def test_initial_state(self):
-        acc = EnergyAccount(capacity=1.0)
+        acc = _account(1.0)
         assert acc.alive and acc.remaining == 1.0 and acc.spent == 0.0
 
     def test_charging_accumulates_by_category(self):
-        acc = EnergyAccount(capacity=1.0)
+        acc = _account(1.0)
         acc.charge_tx(0.1, now=1.0)
         acc.charge_rx(0.2, now=2.0)
         acc.charge_idle(0.05, now=3.0)
@@ -72,7 +79,7 @@ class TestEnergyAccount:
         assert acc.remaining == pytest.approx(0.65)
 
     def test_death_records_time(self):
-        acc = EnergyAccount(capacity=0.1)
+        acc = _account(0.1)
         acc.charge_tx(0.05, now=1.0)
         assert acc.alive
         acc.charge_tx(0.06, now=2.5)
@@ -81,17 +88,17 @@ class TestEnergyAccount:
         assert acc.remaining == 0.0
 
     def test_dead_node_rejects_charges(self):
-        acc = EnergyAccount(capacity=0.01)
+        acc = _account(0.01)
         acc.charge_tx(0.02, now=1.0)
         assert acc.charge_rx(0.01, now=2.0) is False
         assert acc.spent_rx == 0.0
 
     def test_infinite_capacity_never_dies(self):
-        acc = EnergyAccount(capacity=math.inf)
+        acc = _account(math.inf)
         acc.charge_tx(1e9, now=1.0)
         assert acc.alive
         assert acc.spent_tx == 1e9
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
-            EnergyAccount(capacity=-1.0)
+            _account(-1.0)

@@ -33,10 +33,10 @@ from repro.obs.recovery import FaultWindow, recovery_report
 from repro.runner.cache import ResultCache
 from repro.runner.spec import ExperimentSpec, cache_key
 from repro.runner.sweep import SweepRunner
-from repro.sim.energy import EnergyAccount
-from repro.sim.node import Node, NodeKind
+from repro.sim.node import NodeKind
 from repro.sim.radio import IEEE802154, GilbertElliott
 from repro.sim.serialize import dumps, loads
+from repro.sim.state import NodeStateStore
 from repro.world import WorldBuilder
 
 
@@ -288,8 +288,7 @@ class TestZeroBackoffWindow:
 # ----------------------------------------------------------------------
 class TestAliveListener:
     def _tracked_node(self, capacity=math.inf):
-        node = Node(node_id=0, kind=NodeKind.SENSOR,
-                    energy=EnergyAccount(capacity=capacity))
+        node = NodeStateStore([NodeKind.SENSOR], [capacity]).node_view(0)
         flips = []
         node.bind_alive_listener(lambda nid, alive: flips.append((nid, alive)))
         return node, flips

@@ -18,10 +18,11 @@ from repro.security.crypto import (
     verify_mac,
 )
 from repro.security.tesla import TeslaBroadcaster, TeslaReceiver
-from repro.sim.energy import EnergyAccount, EnergyModel
+from repro.sim.energy import EnergyModel
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.node import NodeKind
+from repro.sim.state import NodeStateStore
 
 KEY = derive_key(b"prop-master", "k")
 
@@ -120,7 +121,7 @@ def test_tx_cost_nonnegative_and_monotone_in_distance(bits, d):
 
 @given(st.lists(st.floats(min_value=0, max_value=0.2, allow_nan=False), min_size=1, max_size=50))
 def test_energy_account_conservation(charges):
-    acc = EnergyAccount(capacity=1.0)
+    acc = NodeStateStore([NodeKind.SENSOR], [1.0]).node_view(0).energy
     for i, c in enumerate(charges):
         acc.charge_tx(c, now=float(i))
     if acc.alive:

@@ -1,6 +1,7 @@
 """Unit tests for the channel: delivery, energy charging, loss, collisions."""
 
 import importlib.util
+import sys
 import types
 from pathlib import Path
 
@@ -32,8 +33,10 @@ def _setup(loss=0.0, collisions=False, csma=False, comm_range=12.0, seed=1, arq=
 
 def _setup_scalar():
     """A channel with the hot-path benchmark's frozen scalar loop installed."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_hotpath.py"
-    spec = importlib.util.spec_from_file_location("bench_hotpath", path)
+    bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
+    if str(bench_dir) not in sys.path:  # the script imports its sibling _record
+        sys.path.insert(0, str(bench_dir))
+    spec = importlib.util.spec_from_file_location("bench_hotpath", bench_dir / "bench_hotpath.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     sim, net, ch = _setup()

@@ -228,12 +228,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="not shard-safe"):
             run_sharded(w, shards=2)
 
-    def test_rejects_object_path(self):
-        w = _workload()
-        w.world = WorldConfig(soa=False)
-        with pytest.raises(ConfigurationError, match="soa=True"):
-            run_sharded(w, shards=2)
-
     def test_rejects_fault_plans(self):
         from repro.faults.plan import Crash, FaultPlan
 
@@ -243,12 +237,10 @@ class TestValidation:
             run_sharded(w, shards=2)
 
     def test_worldconfig_rejects_shard_compositions_at_construction(self):
-        # The same two composition rules fire where the *config* is
-        # written, before any workload exists.
+        # The same composition rule fires where the *config* is written,
+        # before any workload exists.
         from repro.faults.plan import Crash, FaultPlan
 
-        with pytest.raises(ConfigurationError, match="soa=True"):
-            WorldConfig(shards=2, soa=False)
         with pytest.raises(ConfigurationError, match="fault plan"):
             WorldConfig(shards=2, faults=FaultPlan((Crash(node=0, t=1.0),)))
 

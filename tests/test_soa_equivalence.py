@@ -1,123 +1,32 @@
-"""SoA-vs-object equivalence and the NodeStateStore / WorldConfig API.
+"""The NodeStateStore API and the WorldConfig parameter plumbing.
 
-The struct-of-arrays core is an *execution strategy*, never a model
-change: for any scenario — lossy radio, finite batteries, crashes and
-recoveries — a world built with ``soa=True`` must produce bit-identical
-metrics rows, per-node energy ledgers and RNG streams to the per-object
-reference path, and both must pass the packet-conservation audit.  The
-hypothesis property below holds that over randomized fault scenarios;
-the unit tests pin the store's public API (``charge``, ``alive_view``,
-``route_columns``) and the :class:`~repro.world.WorldConfig` parameter
-plumbing (round-trip, cache-key identity, removal of bare kwargs).
+The store's columns are the only node state: the unit tests pin its
+public API (``charge``, ``alive_view``, ``route_columns``) and that the
+routing layer mirrors its tables into the route columns; the
+:class:`~repro.world.WorldConfig` tests pin round-trip, cache-key
+identity and the removal of bare kwargs and retired settings.  Whole-run
+behaviour is pinned by the recorded golden digests (``tests/golden/``).
 """
 
-import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.base import ProtocolConfig
 from repro.core.spr import SPR
 from repro.exceptions import ConfigurationError
 from repro.experiments.common import make_grid_scenario
-from repro.faults.plan import BatteryDrain, Crash, FaultPlan, Recover
+from repro.faults.plan import Crash, FaultPlan
 from repro.runner.spec import cache_key
 from repro.sim.network import Network
 from repro.sim.node import NodeKind
-from repro.sim.radio import IEEE802154
 from repro.sim.serialize import to_jsonable
 from repro.sim.state import NO_ROUTE, NodeStateStore
 from repro.world import WorldBuilder, WorldConfig
 
-N_SENSORS = 14
-
-
-def _fingerprint(scenario):
-    """Everything that must be bit-identical across execution paths."""
-    m = scenario.metrics
-    return {
-        "events": scenario.events_processed,
-        "sent": dict(m.sent),
-        "received": dict(m.received),
-        "drops": dict(m.drops),
-        "bytes": m.bytes_sent,
-        "generated": m.data_generated,
-        "deliveries": [dataclasses.astuple(d) for d in m.deliveries],
-        "energy": [
-            (nd.energy.spent_tx, nd.energy.spent_rx, nd.energy.spent_idle,
-             nd.energy.remaining, nd.alive)
-            for nd in scenario.network.nodes
-        ],
-        "rng": scenario.sim.rng.bit_generator.state,
-    }
-
-
-def _run(soa, *, seed, loss, battery, plan):
-    builder = (
-        WorldBuilder()
-        .seed(seed)
-        .uniform_sensors(N_SENSORS, field_size=80.0, topology_seed=seed)
-        .gateways([[40.0, 40.0], [15.0, 15.0]])
-        .comm_range(35.0)
-        .sensor_battery(battery)
-        .radio(dataclasses.replace(IEEE802154.ideal(), loss_rate=loss))
-        .require_connected(False)
-        .audit()
-        .soa(soa)
-    )
-    if plan is not None:
-        builder.faults(plan)
-    world = builder.build()
-    spr = world.attach(SPR, ProtocolConfig(table_answering=False))
-    for i in range(N_SENSORS):
-        world.sim.schedule(0.4 * i + 0.01, spr.send_data, i)
-        world.sim.schedule(0.4 * i + 6.5, spr.send_data, (i * 5) % N_SENSORS)
-    world.sim.run(until=30.0)
-    world.assert_conserved()
-    return _fingerprint(world)
-
-
-@st.composite
-def _fault_plans(draw):
-    events = []
-    for node in draw(
-        st.lists(st.integers(0, N_SENSORS - 1), max_size=3, unique=True)
-    ):
-        t = draw(st.floats(0.5, 8.0, allow_nan=False, allow_infinity=False))
-        events.append(Crash(node=node, t=t))
-        if draw(st.booleans()):
-            events.append(Recover(node=node, t=t + draw(st.floats(0.5, 4.0))))
-    if draw(st.booleans()):
-        events.append(
-            BatteryDrain(
-                node=draw(st.integers(0, N_SENSORS - 1)),
-                t=draw(st.floats(0.5, 6.0)),
-                fraction=draw(st.floats(0.1, 0.95)),
-            )
-        )
-    return FaultPlan(tuple(events)) if events else None
-
 
 class TestSoAEquivalence:
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        seed=st.integers(0, 2**16),
-        loss=st.sampled_from([0.0, 0.15, 0.3]),
-        battery=st.sampled_from([math.inf, 0.05]),
-        plan=_fault_plans(),
-    )
-    def test_soa_is_bit_identical_to_object_path(self, seed, loss, battery, plan):
-        obj = _run(False, seed=seed, loss=loss, battery=battery, plan=plan)
-        soa = _run(True, seed=seed, loss=loss, battery=battery, plan=plan)
-        assert obj == soa
-
     def test_route_column_mirrors_routing_table(self):
         sensors = np.array([[float(10 * i), 0.0] for i in range(5)])
         world = (
@@ -161,13 +70,6 @@ class TestNodeStateStore:
         assert a_rx.tolist() == b_rx.tolist() == [1, 0, 1, 1]
         assert a_tx.tolist() == b_tx.tolist() == [0, 0, 0, 0]
 
-    def test_batchable_rejects_finite_and_dead_rows(self):
-        store = self._store([math.inf, math.inf, 0.5])
-        assert store.batchable(np.array([0, 1]))
-        assert not store.batchable(np.array([0, 2]))  # finite battery
-        store.set_failed(0, True)
-        assert not store.batchable(np.array([0, 1]))  # dead row
-
     def test_alive_view_is_readonly_and_tracks_failures(self):
         store = self._store([math.inf] * 3)
         alive = store.alive_view()
@@ -199,9 +101,9 @@ class TestNodeStateStore:
 class TestWorldConfigAPI:
     def test_from_param_round_trips_jsonable_form(self):
         cfg = WorldConfig(
-            soa=False,
             audit=True,
             faults=FaultPlan((Crash(node=2, t=1.5),)),
+            checkpoint_every=3,
         )
         assert WorldConfig.from_param(to_jsonable(cfg)) == cfg
         assert WorldConfig.from_param(cfg) is cfg
@@ -209,17 +111,17 @@ class TestWorldConfigAPI:
 
     def test_from_param_rejects_bare_dicts(self):
         with pytest.raises(ConfigurationError):
-            WorldConfig.from_param({"soa": False})
+            WorldConfig.from_param({"audit": True})
 
     def test_cache_key_separates_execution_configs(self):
         base = cache_key("e", {"world": WorldConfig()}, 0, version="t")
-        soa_off = cache_key(
-            "e", {"world": WorldConfig(soa=False)}, 0, version="t"
+        audited = cache_key(
+            "e", {"world": WorldConfig(audit=True)}, 0, version="t"
         )
         as_jsonable = cache_key(
             "e", {"world": to_jsonable(WorldConfig())}, 0, version="t"
         )
-        assert base != soa_off
+        assert base != audited
         assert base == as_jsonable
         # tuple params keep their historical list encoding
         assert cache_key("e", {"sizes": (50,)}, 0, version="t") == cache_key(
@@ -227,12 +129,14 @@ class TestWorldConfigAPI:
         )
 
     def test_builder_wrappers_update_config(self):
-        b = WorldBuilder().audit(True).soa(False)
-        assert b.config == WorldConfig(soa=False, audit=True)
-        b.configure(WorldConfig(soa=False))
-        assert b.config == WorldConfig(soa=False)
+        plan = FaultPlan((Crash(node=2, t=1.5),))
+        b = WorldBuilder().audit(True).faults(plan)
+        assert b.config == WorldConfig(audit=True, faults=plan)
+        b.configure(WorldConfig(checkpoint_every=3))
+        assert b.config == WorldConfig(checkpoint_every=3)
+        assert not hasattr(b, "soa")
 
-    @pytest.mark.parametrize("stale", ["vectorized", "spatial_index"])
+    @pytest.mark.parametrize("stale", ["vectorized", "spatial_index", "soa"])
     def test_from_param_rejects_unknown_fields(self, stale):
         # A saved spec or trace from before a setting was removed must
         # not silently run the default for it.
@@ -244,7 +148,9 @@ class TestWorldConfigAPI:
     def test_directly_built_network_uses_the_store(self):
         net = Network(np.zeros((3, 2)), [NodeKind.SENSOR] * 3)
         assert net.store is not None
-        assert Network(np.zeros((3, 2)), [NodeKind.SENSOR] * 3, soa=False).store is None
+        assert net.nodes[1].energy is net.store.energy_view(1)
+        with pytest.raises(TypeError, match="soa"):
+            Network(np.zeros((3, 2)), [NodeKind.SENSOR] * 3, soa=True)
 
     def test_bare_kwargs_path_is_gone(self):
         # The deprecated resolve_world_config shim was removed outright.

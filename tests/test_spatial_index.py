@@ -331,24 +331,17 @@ class DenseNetwork(Network):
 
 class TestSimulationEquivalence:
     # A whole SPR flood run over grid rows must match the same run over
-    # the dense oracle's rows, on both node-state paths.
-    @pytest.mark.parametrize("soa", [True, False])
-    def test_flood_bit_identical_across_indexes(self, soa):
+    # the dense oracle's rows, on both delivery paths of the channel
+    # (batched draining and one event per reception).
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_flood_bit_identical_across_indexes(self, batched):
         sensors = uniform_deployment(80, 150.0, seed=13)
         positions = np.vstack([sensors, [[75.0, 75.0]]])
 
         def run(network_cls):
-            net = network_cls(
-                positions, _kinds(len(positions)), comm_range=COMM_RANGE, soa=soa
-            )
-            world = (
-                WorldBuilder()
-                .seed(7)
-                .network(net)
-                .ideal_radio()
-                .soa(soa)
-                .build()
-            )
+            net = network_cls(positions, _kinds(len(positions)), comm_range=COMM_RANGE)
+            world = WorldBuilder().seed(7).network(net).ideal_radio().build()
+            world.channel._batched = batched
             spr = world.attach(SPR, ProtocolConfig(table_answering=False))
             for k in range(4):
                 world.sim.schedule(0.5 * k, spr.send_data, k)
