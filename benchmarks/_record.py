@@ -15,7 +15,9 @@ same shape) and earlier top-level records shift into a bounded
 ``history`` list, oldest first — a cheap local trend line across runs.
 Every record carries a ``host`` block (CPU model, ``cpu_count``,
 Python/NumPy versions, git SHA) so timings taken on different machines
-or commits are never read as comparable.
+or commits are never read as comparable.  A benchmark that repeats its
+legs records each leg's min/median/max through
+:func:`wall_clock_spread`.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import subprocess
 from typing import Optional
 
 import numpy as np
 
-__all__ = ["bench_record", "write_bench"]
+__all__ = ["bench_record", "wall_clock_spread", "write_bench"]
 
 #: the directory holding the committed BENCH_*.json records.
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -69,6 +72,23 @@ def host_fingerprint() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "git_sha": _git_sha(),
+    }
+
+
+def wall_clock_spread(samples: list[float]) -> dict:
+    """A leg's timing fields from its ``repeat`` wall-clock samples.
+
+    ``wall_clock_s`` is the median, the number gates read; the min and
+    max beside it show the spread, so one noisy repeat is visible
+    instead of silently moving the headline.
+    """
+    if not samples:
+        raise ValueError("a leg needs at least one wall-clock sample")
+    return {
+        "wall_clock_s": statistics.median(samples),
+        "wall_clock_min_s": min(samples),
+        "wall_clock_max_s": max(samples),
+        "repeat": len(samples),
     }
 
 

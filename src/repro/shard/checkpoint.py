@@ -10,7 +10,11 @@ moment where "the whole distributed computation" is a plain value:
 * per shard — the worker's entire world (engine queue + clock + seq,
   per-node RNG substreams, the struct-of-arrays store, routing tables,
   ledger and metrics) pickled as one object, plus the process-global
-  packet-``uid`` watermark;
+  packet-``uid`` watermark.  The pickle holds state, not per-node
+  structure: the network's row views and ``alive_neighbors`` memo are
+  rebuilt on restore, its neighbor rows travel as one flat array, and
+  the store packs its per-row handler partials as ``{f: [ids]}``
+  (see ``Network.__getstate__`` and ``NodeStateStore.__getstate__``);
 * at the coordinator — the window counter and the not-yet-injected
   deliveries / alive flips / route flips.
 
@@ -63,7 +67,7 @@ __all__ = [
 
 #: Bump when the snapshot or manifest layout changes; mismatched
 #: checkpoints are rejected, never misread.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MANIFEST = "MANIFEST.json"
 
@@ -115,11 +119,13 @@ class ResumePoint:
     path: Path
     manifest: dict
 
-    def shard_blob(self, shard: int) -> bytes:
-        return (self.path / f"shard-{shard:02d}.pkl").read_bytes()
-
     def coordinator_state(self) -> dict:
-        return pickle.loads((self.path / "coord.pkl").read_bytes())
+        try:
+            return pickle.loads((self.path / "coord.pkl").read_bytes())
+        except Exception as exc:
+            raise CheckpointError(
+                f"undecodable coordinator state in {self.path}: {exc}"
+            ) from exc
 
 
 def base_dir_for(path) -> Path:

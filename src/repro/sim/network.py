@@ -39,7 +39,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.exceptions import ConfigurationError, TopologyError
-from repro.sim.node import NodeKind
+from repro.sim.node import Node, NodeKind
 from repro.sim.spatial import CellGrid
 from repro.sim.state import NodeStateStore
 
@@ -113,9 +113,49 @@ class Network:
         self._alive_version = 0
         # The store notifies the network on every alive-flag transition
         # (battery death, fail/recover, sleep/wake), so the caches keyed
-        # on the alive version stay current.
+        # on the alive version stay current.  One bound-method object
+        # serves every row, so a snapshot pickles it once.
+        listener = self._on_alive_change
         for i in range(len(self.nodes)):
-            self.store.bind_alive_listener(i, self._on_alive_change)
+            self.store.bind_alive_listener(i, listener)
+
+    # ------------------------------------------------------------------
+    # snapshot / restore (barrier checkpoints, repro.shard.checkpoint)
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """Pickle state, not per-node structure.
+
+        ``nodes`` is dropped (the rows are rebuilt from the store), the
+        neighbor rows travel as one ``(lens, flat)`` pair, and the
+        ``alive_neighbors`` memo is dropped with its stamp reset.  The
+        grid, the cached graphs and the CSR adjacency pickle as they
+        are: a rebuilt ``networkx`` graph could iterate in another order.
+        """
+        state = dict(self.__dict__)
+        del state["nodes"]
+        # A reference to the store's kinds list, not a copy: when the
+        # store is unpickled before this network (a handler or listener
+        # reached it first), ``__setstate__`` runs before the store's own
+        # and must build its rows without reading the store.
+        state["_kinds"] = self.store.kinds
+        rows = self._neighbor_cache
+        if rows is not None:
+            lens = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
+            state["_neighbor_cache"] = (lens, np.concatenate(rows))
+        state["_alive_nbr_cache"] = {}
+        state["_alive_nbr_stamp"] = (-1, -1)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        kinds = state.pop("_kinds")
+        packed = state["_neighbor_cache"]
+        if packed is not None:
+            # Split back exactly as frozen: rows patched in place by
+            # moves are restored, not recomputed from positions.
+            lens, flat = packed
+            state["_neighbor_cache"] = np.split(flat, np.cumsum(lens)[:-1])
+        self.__dict__.update(state)
+        self.nodes = [Node(self.store, i, kind) for i, kind in enumerate(kinds)]
 
     # ------------------------------------------------------------------
     # structure queries

@@ -76,10 +76,12 @@ class Node:
 
     __slots__ = ("_store", "node_id", "kind")
 
-    def __init__(self, store: "NodeStateStore", node_id: int) -> None:
+    def __init__(
+        self, store: "NodeStateStore", node_id: int, kind: Optional[NodeKind] = None
+    ) -> None:
         self._store = store
         self.node_id = node_id
-        self.kind: NodeKind = store.kinds[node_id]
+        self.kind: NodeKind = store.kinds[node_id] if kind is None else kind
 
     @property
     def handler(self) -> Optional[Callable[["Packet"], None]]:

@@ -39,6 +39,7 @@ reflect later mutations and must never be written through.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Callable, Optional, Sequence, TYPE_CHECKING
 
@@ -197,6 +198,55 @@ class NodeStateStore:
         h.update(repr(self.tx_count).encode())
         h.update(repr(self.rx_count).encode())
         return h.hexdigest()
+
+    def __getstate__(self) -> dict:
+        """Pickle the columns, not one handler object per row.
+
+        A handler that is ``functools.partial(f, i)`` at its own row
+        ``i`` (how every protocol registers one) is packed into
+        ``{f: [ids]}`` and re-created on restore; any other handler (a
+        tracer's wrapper, a test's callable) pickles as it is.  The
+        cached :class:`~repro.sim.energy.EnergyAccount` rows are
+        dropped and re-created lazily.
+        """
+        # Slot order puts ``kinds`` before ``handlers``/``_listeners``,
+        # which is what lets a Network restored in the middle of this
+        # store's state (see Network.__getstate__) find the list whole.
+        state = {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name not in ("handlers", "_energy_views")
+        }
+        rows: dict[Callable, list[int]] = {}
+        other: dict[int, Callable] = {}
+        for i, h in enumerate(self.handlers):
+            if h is None:
+                continue
+            if (
+                type(h) is functools.partial
+                and h.args == (i,)
+                and type(h.args[0]) is int
+                and not h.keywords
+                and not h.__dict__
+            ):
+                rows.setdefault(h.func, []).append(i)
+            else:
+                other[i] = h
+        state["handlers"] = (rows, other)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        rows, other = state.pop("handlers")
+        for name, value in state.items():
+            setattr(self, name, value)
+        handlers: list[Optional[Callable[["Packet"], None]]] = [None] * self.n
+        for fn, ids in rows.items():
+            for i in ids:
+                handlers[i] = functools.partial(fn, i)
+        for i, h in other.items():
+            handlers[i] = h
+        self.handlers = handlers
+        self._energy_views = [None] * self.n
 
     # ------------------------------------------------------------------
     # views

@@ -66,3 +66,15 @@ def test_record_carries_host_fingerprint(record_mod):
     assert set(host) == {"cpu_model", "cpu_count", "python", "numpy", "git_sha"}
     assert host["cpu_count"] >= 1
     assert host["python"].count(".") == 2
+
+
+def test_wall_clock_spread_gates_on_the_median(record_mod):
+    leg = record_mod.wall_clock_spread([3.0, 1.0, 10.0])
+    assert leg == {
+        "wall_clock_s": 3.0,
+        "wall_clock_min_s": 1.0,
+        "wall_clock_max_s": 10.0,
+        "repeat": 3,
+    }
+    with pytest.raises(ValueError):
+        record_mod.wall_clock_spread([])

@@ -14,8 +14,11 @@ per-node RNG substreams.
 """
 
 import dataclasses
+import functools
+import io
 import math
 import multiprocessing
+import pickle
 import tempfile
 import time
 from collections import Counter
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import CheckpointError, ConfigurationError, ShardWorkerError
+from repro.experiments.scalability import make_xl_workload
 from repro.obs.ledger import DatumState, PacketLedger
 from repro.obs.merge import merge_collectors, merge_ledgers
 from repro.runner.spec import cache_key
@@ -41,8 +45,10 @@ from repro.shard import (
     workload_key,
 )
 from repro.shard.runner import _build_worker_world, _schedule_rounds, run_digest
+from repro.sim.energy import EnergyAccount
 from repro.sim.mobility import FeasiblePlaces, GatewaySchedule
 from repro.sim.network import uniform_deployment
+from repro.sim.node import Node
 from repro.sim.packet import MAC_HEADER_BYTES, Packet, PacketKind
 from repro.sim.radio import IEEE802154, GilbertElliott
 from repro.sim.trace import MetricsCollector
@@ -881,6 +887,20 @@ class TestCheckpointResume:
             assert (win / "shard-00.pkl").is_file()
             assert (win / "shard-01.pkl").is_file()
 
+    def test_corrupt_coordinator_state_is_a_checkpoint_error(self, tmp_path):
+        """A truncated ``coord.pkl`` is refused as a CheckpointError, not
+        leaked as a raw unpickling error, and leaves no worker behind."""
+        w = _workload(seed=8)
+        run_sharded(
+            w, shards=2, checkpoint=CheckpointConfig(dir=str(tmp_path), every=3),
+        )
+        newest = sorted((tmp_path / workload_key(w, 2)).glob("win-*"))[-1]
+        coord = newest / "coord.pkl"
+        coord.write_bytes(coord.read_bytes()[: coord.stat().st_size // 2])
+        with pytest.raises(CheckpointError, match="coordinator state"):
+            run_sharded(w, shards=2, resume_from=str(tmp_path))
+        assert _no_orphans()
+
     def test_checkpoint_config_validation(self):
         with pytest.raises(ConfigurationError):
             CheckpointConfig(dir="x", every=0)
@@ -980,3 +1000,103 @@ class TestSnapshotRoundTrip:
         assert res.restarts == 1
         assert res.digest == ref.digest
         assert res.rng_states == ref.rng_states
+
+
+# ----------------------------------------------------------------------
+# what a snapshot holds: state as columns, not per-node objects
+# ----------------------------------------------------------------------
+class _CountingPickler(pickle.Pickler):
+    """Counts every object the pickler reduces, by type (memo hits are
+    not reduced again, so a shared object counts once)."""
+
+    def __init__(self, file):
+        super().__init__(file, protocol=4)
+        self.counts = Counter()
+
+    def reducer_override(self, obj):
+        self.counts[type(obj)] += 1
+        return NotImplemented
+
+
+def _started_worker_world(workload, until):
+    """A worker world with its traffic scheduled, run to ``until``."""
+    world, proto = _build_worker_world(workload, defer_audit=True)
+    _schedule_rounds(world.sim, proto, workload)
+    for i, (when, src) in enumerate(workload.traffic):
+        world.sim.schedule_at(float(when), proto.send_data, int(src), None, i + 1)
+    world.sim.run(until=until)
+    return world, proto
+
+
+class TestLeanSnapshot:
+    def test_no_per_node_objects_in_a_snapshot(self):
+        """Growing the field 10x adds no objects to the pickle: no row
+        views, no per-row handler partials, no per-row arrays."""
+        counts = {}
+        for n in (200, 2000):
+            w = make_xl_workload(n, 2, 6, seed=0, audit=True)
+            world, proto = _started_worker_world(w, until=1.01)
+            net = world.network
+            net.nodes[0].energy  # populate the store's EnergyAccount cache
+            net.alive_neighbors(0)  # ... and the alive-neighbor memo
+            pickler = _CountingPickler(io.BytesIO())
+            pickler.dump({"world": world, "proto": proto})
+            counts[n] = pickler.counts
+        for n, c in counts.items():
+            assert c[Node] == 0, n
+            assert c[EnergyAccount] == 0, n
+        assert counts[200][functools.partial] == counts[2000][functools.partial]
+        assert counts[200][np.ndarray] == counts[2000][np.ndarray]
+
+    def test_restore_gives_back_the_same_world(self):
+        """After a gateway-move round, a restored MLR worker has the
+        patched neighbor rows, handlers, row views and live listeners of
+        the original, bound to the restored objects."""
+        w = _mlr_workload(seed=9)
+        world, proto = _started_worker_world(w, until=2.5)
+        net = world.network
+        gw = len(w.sensor_positions)
+        assert tuple(net.positions[gw]) == (0.3 * 200.0, 0.3 * 200.0)  # moved
+        net.graph()
+        world2, proto2, _ = restore_world(snapshot_world(world, proto))
+        net2, store2 = world2.network, world2.network.store
+
+        for i in range(len(net)):
+            a, b = net.neighbors(i), net2.neighbors(i)
+            assert np.array_equal(a, b) and a.dtype == b.dtype, i
+        for h, h2 in zip(net.store.handlers, store2.handlers):
+            assert type(h2) is functools.partial
+            assert h2.func.__func__ is h.func.__func__
+            assert h2.func.__self__ is proto2
+            assert h2.args == h.args and h2.keywords == h.keywords
+        assert len(net2.nodes) == len(net)
+        for i, node in enumerate(net2.nodes):
+            assert node._store is store2
+            assert node.node_id == i and node.kind is net.nodes[i].kind
+
+        g = net2.graph()
+        victim = next(i for i in range(gw) if net2.alive_mask[i] and g.degree(i))
+        net2.nodes[victim].failed = True
+        assert not net2.alive_mask[victim]
+        assert net2.graph() is g and victim not in g
+        assert net.alive_mask[victim] and victim in net.graph()
+
+    def test_store_reached_before_its_network_restores(self):
+        """Pickle order does not matter: with the store pickled first, the
+        network is restored in the middle of the store's state and must
+        build its rows without reading the store."""
+        w = _workload(n=90, field=160.0, datums=6, seed=4)
+        world, proto = _started_worker_world(w, until=0.6)
+        net = world.network
+        net.neighbors(0)
+        store2, world2, proto2 = pickle.loads(
+            pickle.dumps((net.store, world, proto), protocol=4)
+        )
+        net2 = world2.network
+        assert net2.store is store2 and proto2.network is net2
+        assert [n.kind for n in net2.nodes] == store2.kinds
+        assert all(n._store is store2 for n in net2.nodes)
+        assert store2.handlers[5].func.__self__ is proto2
+        net2.nodes[5].failed = True
+        assert not net2.alive_mask[5]
+        assert store2.checksum() != net.store.checksum()
