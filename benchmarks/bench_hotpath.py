@@ -51,41 +51,24 @@ _TARGET_DEGREE = 20.0
 _COMM_RANGE = 40.0
 
 
-def _fanout_scalar(
-    self, sender, packet, attempt, neighbors, start, end, resolved=False,
-):
+def _fanout_scalar(self, sender, packet, attempt, neighbors, start, end, lost):
     """Frozen per-neighbor fan-out loop: the ``scalar`` baseline.
 
     A copy of the channel's original reference loop, bound onto one
     benchmark channel in place of its per-event fan-out.  It is kept
-    unchanged so the speedup gates measure against a fixed baseline;
-    the shared digest proves it still simulates the same thing.
+    unchanged so the speedup gates measure against a fixed baseline —
+    except that it reads the frame's loss mask ``lost`` (drawn once by
+    the channel before the fan-out) instead of drawing; the shared
+    digest proves it still simulates the same thing.
     """
-    rng = None
     found_dst = packet.dst is None
-    burst_lost = None
-    if not resolved and self.config.burst is not None:
-        intended_ids = [
-            int(nb) for nb in neighbors if packet.dst is None or packet.dst == nb
-        ]
-        burst_lost = iter(self._burst_losses(sender, intended_ids))
-    elif not resolved and self.config.loss_rate > 0.0:
-        rng = self.sim.node_rng(sender)
-    for nb in neighbors:
+    for idx, nb in enumerate(neighbors):
         intended = packet.dst is None or packet.dst == nb
         if intended:
             found_dst = True
         prop = self.network.distance(sender, nb) / _SPEED_OF_LIGHT
         arrive = end + prop
-        if burst_lost is not None:
-            lost = intended and next(burst_lost)
-        else:
-            lost = (
-                intended
-                and rng is not None
-                and rng.random() < self.config.loss_rate
-            )
-        if lost:
+        if lost is not None and lost[idx]:
             self.metrics.on_drop("loss")
             if self._medium_observed:
                 self.medium.register_reception(

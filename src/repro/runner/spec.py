@@ -64,10 +64,8 @@ def _canonical(value):
 
     Dataclasses collapse to their tagged jsonable form (then recurse, so
     nested configs normalize too); ``WorldConfig``-tagged dicts drop the
-    execution-only fields — ``shards``, ``checkpoint_dir`` and
-    ``checkpoint_every`` select how (and how durably) a cell runs, never
-    what it computes, so checkpointed, sharded and plain runs all share
-    one cache entry.  Everything else passes through untouched —
+    execution-only ``shards`` field — it selects how a cell runs, never
+    what it computes, so sharded and plain runs share one cache entry.  Everything else passes through untouched —
     unrecognized containers still fall back to :func:`_encode_param`
     inside ``json.dumps``, preserving the historical encoding
     byte-for-byte.
@@ -79,8 +77,7 @@ def _canonical(value):
         if out.get("__dataclass__") == "WorldConfig":
             fields = out.get("fields")
             if isinstance(fields, dict):
-                for execution_only in ("shards", "checkpoint_dir", "checkpoint_every"):
-                    fields.pop(execution_only, None)
+                fields.pop("shards", None)
         return out
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]

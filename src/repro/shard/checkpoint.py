@@ -158,12 +158,12 @@ def workload_key(workload, shards: int) -> str:
     radio, world config, battery, seed, rounds, the shard count, the
     snapshot format version and the code that runs it
     (:func:`~repro.source.source_hash`), so a snapshot is never resumed
-    under different code.  Execution-neutral knobs (checkpoint
-    cadence/location, the config's own shard default) are normalized
-    out, so "the same run, checkpointed elsewhere" resolves to the same
-    key.
+    under different code.  The config's own shard default is
+    normalized out (the ``shards`` argument is what counts), and
+    checkpoint cadence and location are not part of the workload, so
+    "the same run, checkpointed elsewhere" resolves to the same key.
     """
-    cfg = workload.world.replace(shards=1, checkpoint_dir=None, checkpoint_every=8)
+    cfg = workload.world.replace(shards=1)
     canon = (
         np.ascontiguousarray(np.asarray(workload.sensor_positions, dtype=float)).tobytes(),
         np.ascontiguousarray(np.asarray(workload.gateway_positions, dtype=float)).tobytes(),

@@ -61,7 +61,7 @@ structured :class:`~repro.exceptions.ShardWorkerError` within a bounded
 time, and the gang is torn down on every exit path (no orphans, no
 leaked pipes).  With a checkpoint store configured
 (:mod:`repro.shard.checkpoint`) the coordinator snapshots the whole
-gang at barrier every ``checkpoint_every`` windows and, on a retryable
+gang at barrier every ``CheckpointConfig.every`` windows and, on a retryable
 failure, respawns the gang from the last committed checkpoint — up to
 ``max_restarts`` times with exponential backoff.  Because snapshots are
 side-effect-free and taken at global quiescence, a crashed-and-resumed
@@ -546,34 +546,25 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _resolve_checkpoint(
-    workload: ShardWorkload, checkpoint, resume_from
-) -> Optional[CheckpointConfig]:
-    """Checkpointing for this run: explicit arg > WorldConfig > resume path.
+def _resolve_checkpoint(checkpoint, resume_from) -> Optional[CheckpointConfig]:
+    """Checkpointing for this run: explicit arg > resume path.
 
     A bare path string is promoted to a :class:`CheckpointConfig` with
-    the world's cadence; ``resume_from`` alone implies its own base dir
+    the default cadence; ``resume_from`` alone implies its own base dir
     as the store (so the resumed run keeps checkpointing into the same
     tree it is restoring from).
     """
     if isinstance(checkpoint, CheckpointConfig):
         return checkpoint
     if isinstance(checkpoint, (str, Path)):
-        return CheckpointConfig(
-            dir=str(checkpoint), every=workload.world.checkpoint_every
-        )
+        return CheckpointConfig(dir=str(checkpoint))
     if checkpoint is not None:
         raise ConfigurationError(
             f"checkpoint must be a CheckpointConfig, a directory path or None, "
             f"got {checkpoint!r}"
         )
-    cfg = workload.world
-    if cfg.checkpoint_dir is not None:
-        return CheckpointConfig(dir=cfg.checkpoint_dir, every=cfg.checkpoint_every)
     if resume_from is not None:
-        return CheckpointConfig(
-            dir=str(base_dir_for(resume_from)), every=cfg.checkpoint_every
-        )
+        return CheckpointConfig(dir=str(base_dir_for(resume_from)))
     return None
 
 
@@ -775,8 +766,7 @@ def run_sharded(
         deadline, restart budget, backoff.  Defaults apply when omitted.
     ``checkpoint``
         A :class:`~repro.shard.checkpoint.CheckpointConfig` or a bare
-        directory path; falls back to the workload's
-        ``world.checkpoint_dir`` / ``checkpoint_every``.  When set, the
+        directory path (checkpointed at the default cadence).  When set, the
         gang snapshots at barrier every ``every`` windows and retryable
         worker failures (death, deadline) respawn from the last
         committed checkpoint — remote Python exceptions re-raise
@@ -793,7 +783,7 @@ def run_sharded(
         shards = workload.world.shards
     _validate(workload, shards)
     supervision = supervision or SupervisionConfig()
-    ckpt_cfg = _resolve_checkpoint(workload, checkpoint, resume_from)
+    ckpt_cfg = _resolve_checkpoint(checkpoint, resume_from)
     if shards == 1:
         if resume_from is not None or chaos is not None:
             raise ConfigurationError(

@@ -23,9 +23,9 @@ distance-matrix + networkx BFS oracle, and the recorded golden digests
 (``tests/golden/``) pin whole simulations.
 
 Node liveness (battery death, injected failures, sleep scheduling) is the
-store's maintained ``alive`` column; per-node listeners tell the network
-when it flips so the cached graphs are patched — no per-query Python scan
-over ``self.nodes``.
+store's maintained ``alive`` column; the store's alive listener tells the
+network when it flips so the cached graphs are patched — no per-query
+Python scan over ``self.nodes``.
 """
 
 from __future__ import annotations
@@ -113,11 +113,8 @@ class Network:
         self._alive_version = 0
         # The store notifies the network on every alive-flag transition
         # (battery death, fail/recover, sleep/wake), so the caches keyed
-        # on the alive version stay current.  One bound-method object
-        # serves every row, so a snapshot pickles it once.
-        listener = self._on_alive_change
-        for i in range(len(self.nodes)):
-            self.store.bind_alive_listener(i, listener)
+        # on the alive version stay current.
+        self.store.alive_listener = self._on_alive_change
 
     # ------------------------------------------------------------------
     # snapshot / restore (barrier checkpoints, repro.shard.checkpoint)
@@ -319,7 +316,8 @@ class Network:
                     g.add_edge(node_id, jj, weight=1.0)
 
     # ------------------------------------------------------------------
-    # liveness maintenance (listener target; see Node.bind_alive_listener)
+    # liveness maintenance (the store's alive_listener; see
+    # NodeStateStore.refresh_alive)
     # ------------------------------------------------------------------
     def _on_alive_change(self, node_id: int, alive: bool) -> None:
         self._alive_version += 1

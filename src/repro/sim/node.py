@@ -111,20 +111,6 @@ class Node:
     def energy(self) -> "EnergyAccount":
         return self._store.energy_view(self.node_id)
 
-    def bind_alive_listener(self, listener: Callable[[int, bool], None]) -> None:
-        """Register ``listener(node_id, alive)``, fired on liveness flips.
-
-        The :class:`~repro.sim.network.Network` binds this to keep its
-        topology caches current.  Every way a node's ``alive`` can change
-        (``failed``/``sleeping`` writes, battery exhaustion, a shard's
-        halo mirror) funnels through
-        :meth:`~repro.sim.state.NodeStateStore.refresh_alive`, which fires
-        the listener exactly once per actual flip: a battery dying on a
-        node that is already failed or sleeping changes nothing and stays
-        silent.
-        """
-        self._store.bind_alive_listener(self.node_id, listener)
-
     @property
     def alive(self) -> bool:
         """True when the node can participate in the network.

@@ -142,33 +142,13 @@ class Packet:
     hop_count: int = 0
     ttl: int = 64
     created_at: float = 0.0
-    # Memoised on-air size: the channel asks for it at least twice per
-    # frame (TX charge at _begin_tx, RX charge per delivery).  init=False
-    # keeps the cache out of dataclasses.replace, so fork()/with_hop()
-    # copies start fresh and recompute for their own path/security.
-    _size_bytes_cached: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    #: Fields whose mutation changes the on-air size (SecMLR decorates
-    #: packets in place, e.g. ``payload_bytes += ENVELOPE_BYTES``).
-    _SIZE_FIELDS = frozenset({"payload_bytes", "path", "security"})
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        object.__setattr__(self, name, value)
-        if name in Packet._SIZE_FIELDS:
-            object.__setattr__(self, "_size_bytes_cached", None)
 
     # ------------------------------------------------------------------
     def size_bytes(self) -> int:
-        """Total on-air size of this frame (computed once, then cached)."""
-        size = self._size_bytes_cached
-        if size is None:
-            size = MAC_HEADER_BYTES + self.payload_bytes
-            size += PATH_ENTRY_BYTES * len(self.path)
-            if self.security is not None:
-                size += self.security.overhead_bytes
-            self._size_bytes_cached = size
+        """Total on-air size of this frame."""
+        size = MAC_HEADER_BYTES + self.payload_bytes + PATH_ENTRY_BYTES * len(self.path)
+        if self.security is not None:
+            size += self.security.overhead_bytes
         return size
 
     def size_bits(self) -> int:
@@ -181,10 +161,7 @@ class Packet:
 
         Flood duplicate-suppression keys on ``(origin, flood_id)`` carried in
         ``payload``, not on ``uid``, so forwarded copies keep distinct uids
-        for tracing while remaining one logical packet.  The size cache is
-        invalidated on the copy (``_size_bytes_cached`` is ``init=False``,
-        so ``replace`` re-initialises it to ``None``) — a fork that grows
-        ``path`` or adds a security envelope recomputes its own size.
+        for tracing while remaining one logical packet.
         """
         changes.setdefault("payload", dict(self.payload))
         changes.setdefault("uid", next(_uid_counter))

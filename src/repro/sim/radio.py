@@ -10,17 +10,20 @@ Two parameter presets mirror the paper's tier split (Section 3.2): sensor
 nodes speak :data:`IEEE802154`, mesh routers :data:`IEEE80211`, and
 gateways both.
 
-A fan-out reaches its receivers in one of two delivery modes, chosen per
-channel from what the physics observes: broadcast frames on a radio
-without CSMA or collision detection are queued as one sorted run and
-drained in batches (:meth:`Channel._fanout_batched`); everything else —
-unicast frames, and every frame on a radio whose medium is observed —
-schedules one engine event per reception
-(:meth:`Channel._fanout_per_event`).  Both take their RNG draws in
-neighbor order with identical shapes and reserve identical ``(time,
-seq)`` keys, so the choice never changes a metric, an RNG stream or an
-energy column.  The recorded golden digests (``tests/golden/``) pin that
-behaviour across protocols, radios, faults and shard counts.
+A transmitted frame fans out in three steps.  It draws its losses once,
+from the sender's stream in neighbor order (:meth:`Channel._losses`).
+Under sharded execution it then splits its receivers by owner, exporting
+those another shard simulates (:meth:`Channel._shard_split`).  Finally it
+delivers to the rest in one of two modes, chosen per channel from what
+the physics observes: broadcast frames on a radio without CSMA or
+collision detection are queued as one sorted run and drained in batches
+(:meth:`Channel._fanout_batched`); everything else — unicast frames, and
+every frame on a radio whose medium is observed — schedules one engine
+event per reception (:meth:`Channel._fanout_per_event`).  Both modes
+read the same loss mask and reserve identical ``(time, seq)`` keys, so
+the choice never changes a metric, an RNG stream or an energy column.
+The recorded golden digests (``tests/golden/``) pin that behaviour
+across protocols, radios, faults and shard counts.
 """
 
 from __future__ import annotations
@@ -136,8 +139,8 @@ class Channel:
     sim:
         The discrete-event engine (also the source of randomness).
     network:
-        Topology provider; must expose ``nodes``, ``neighbors(i)`` and
-        ``distance(i, j)`` (see :class:`repro.sim.network.Network`).
+        Topology provider; must expose ``store``, ``neighbors(i)`` and
+        ``distances_from(i, ids)`` (see :class:`repro.sim.network.Network`).
     config:
         Radio parameters (default 802.15.4 — the sensor tier).
     energy_model:
@@ -212,32 +215,60 @@ class Channel:
             return 0.0
         return self.sim.node_rng(node).uniform(0.0, window)
 
-    def _burst_losses(self, sender: int, receivers) -> list[bool]:
+    def _losses(
+        self, sender: int, neighbors: np.ndarray, dst: Optional[int]
+    ) -> Optional[np.ndarray]:
+        """Draw one frame's losses: a bool mask over ``neighbors``.
+
+        The only place a fan-out draws.  Each *intended* receiver — every
+        neighbor of a broadcast, the destination of a unicast — gets one
+        loss draw (a burst-chain step through :meth:`_burst_losses` when
+        the radio is bursty) from the *sender's* per-node stream, in
+        neighbor order, before any ownership split: the sender's owner
+        makes exactly the draws a single process would, whatever the
+        delivery mode or shard count.  ``None`` on a lossless radio or
+        when nobody is intended, in which case no stream is touched.
+        """
+        cfg = self.config
+        if cfg.burst is None and cfg.loss_rate <= 0.0:
+            return None
+        intended = None if dst is None else neighbors == dst
+        k = len(neighbors) if intended is None else int(intended.sum())
+        if k == 0:
+            return None
+        if cfg.burst is not None:
+            receivers = neighbors.tolist() if intended is None else [int(dst)] * k
+            drawn = self._burst_losses(sender, receivers)
+        else:
+            drawn = self.sim.node_rng(sender).random(k) < cfg.loss_rate
+        if intended is None:
+            return drawn
+        lost = np.zeros(len(neighbors), dtype=bool)
+        lost[intended] = drawn
+        return lost
+
+    def _burst_losses(self, sender: int, receivers: list[int]) -> np.ndarray:
         """Advance the per-link burst chains one step and draw losses.
 
-        ``receivers`` are the intended receivers in neighbor order.  The
-        draws are taken as one ``(k, 2)`` batch — transition then loss
-        per receiver — from the *sender's* per-node stream: every link
-        chain ``(sender, *)`` is advanced only by the sender's own
-        fan-outs, so both the chain state and the draw sequence live
-        entirely on whichever process owns the sender.  The batch
-        consumes the stream in exactly the order a
-        two-draws-per-receiver loop would, and every fan-out (batched,
-        per-event, sharded split) draws through this helper.
+        ``receivers`` are the intended receivers in neighbor order
+        (non-empty; :meth:`_losses` is the only caller).  The draws are
+        taken as one ``(k, 2)`` batch — transition then loss per
+        receiver — from the *sender's* per-node stream: every link chain
+        ``(sender, *)`` is advanced only by the sender's own fan-outs, so
+        both the chain state and the draw sequence live entirely on
+        whichever process owns the sender.  The batch consumes the
+        stream in exactly the order a two-draws-per-receiver loop would.
         """
         ge = self.config.burst
-        k = len(receivers)
-        if k == 0:
-            return []
-        draws = self.sim.node_rng(sender).random((k, 2))
+        draws = self.sim.node_rng(sender).random((len(receivers), 2))
         states = self._link_bad
-        lost: list[bool] = []
+        lost = np.empty(len(receivers), dtype=bool)
         for i, nb in enumerate(receivers):
-            key = (sender, int(nb))
+            key = (sender, nb)
             bad = states.get(key, ge.start_bad)
             bad = (draws[i, 0] < ge.p_gb) if not bad else not (draws[i, 0] < ge.p_bg)
             states[key] = bad
-            lost.append(bool(draws[i, 1] < (ge.loss_bad if bad else ge.loss_good)))
+            lost[i] = draws[i, 1] < (ge.loss_bad if bad else ge.loss_good)
         return lost
 
     # ------------------------------------------------------------------
@@ -310,84 +341,41 @@ class Channel:
         self.sim.schedule_at(arrive, self._deliver_direct, receiver, packet, sender, attempt)
 
     def _shard_split(
-        self, sender: int, packet: Packet, attempt: int,
-        neighbors: np.ndarray, start: float, end: float,
-    ) -> Optional[tuple[np.ndarray, bool]]:
-        """Partition a fan-out into locally-delivered and exported parts.
+        self, sender: int, packet: Packet, attempt: int, neighbors: np.ndarray,
+        lost: Optional[np.ndarray], start: float, end: float,
+    ) -> Optional[tuple[np.ndarray, Optional[np.ndarray]]]:
+        """Partition a fan-out by ownership: no draws, no drops.
 
-        Draw-then-split: when the radio is lossy, the sender's per-node
-        stream is consumed for the *full* intended receiver set in
-        neighbor order — exactly the draws the single-process fan-out
-        makes — and only the survivors are then partitioned by
-        ownership.  Returns ``(owned_neighbors, resolved)`` where
-        ``resolved`` tells the local fan-out that loss draws were
-        already taken, or ``None`` when nothing local remains to do (a
-        unicast whose destination was exported or lost on the way
-        there).  Export times replicate the delivery schedule's float
-        expression ``((end + prop) - now) + now`` elementwise.
+        Every intended, not-lost receiver owned by another shard is
+        exported, timed with the delivery schedule's float expression
+        ``((end + prop) - now) + now`` elementwise.  Owned receivers stay
+        local, and so do lost copies bound for other shards: the local
+        fan-out counts each drop and arms a unicast's ARQ retry exactly
+        as a single process would.  (A unicast's non-intended neighbors
+        owned elsewhere observe nothing under an unobserved medium and
+        are left out.)  Returns the local ``(neighbors, lost)`` pair, or
+        ``None`` when a unicast destination was exported and nothing
+        local remains.
         """
-        owned = self._shard_owned
-        mask = owned[neighbors]
-        cfg = self.config
-        if packet.dst is not None:
-            dst = packet.dst
-            if not owned[dst] and bool((neighbors == dst).any()):
-                # Remote destination: make its loss draw here — the
-                # exact ``random(k)`` batch the local per-event fan-out
-                # would have taken — then either ship the reception or
-                # count the loss and arm the sender-side ARQ retry.
-                k = int((neighbors == dst).sum())
-                lost = False
-                if cfg.burst is not None:
-                    lost = any(self._burst_losses(sender, [int(dst)] * k))
-                elif cfg.loss_rate > 0.0:
-                    draws = self.sim.node_rng(sender).random(k)
-                    lost = bool((draws < cfg.loss_rate).any())
-                prop = self.network.distance(sender, dst) / _SPEED_OF_LIGHT
-                arrive = end + prop
-                if lost:
-                    self.metrics.on_drop("loss")
-                    self.sim.schedule(
-                        arrive - start, self._maybe_retry, sender, packet, attempt
-                    )
-                    return None
-                self._shard_out.append(
-                    ((arrive - start) + start, int(dst), sender, packet, attempt)
-                )
-                return None
-            # Owned (or absent) destination: the local fan-out makes the
-            # destination's loss draw itself, from the sender's stream —
-            # non-intended neighbors observe nothing under an unobserved
-            # medium, so dropping them changes no draw.
-            return neighbors[mask], False
-        if mask.all() and cfg.loss_rate <= 0.0 and cfg.burst is None:
-            return neighbors, False
-        # Broadcast: draw losses for the full neighbor set first (the
-        # single-process draw), then split the survivors.
-        lost_arr = None
-        if cfg.burst is not None:
-            lost_arr = np.asarray(
-                self._burst_losses(sender, neighbors.tolist()), dtype=bool
-            )
-        elif cfg.loss_rate > 0.0:
-            lost_arr = self.sim.node_rng(sender).random(len(neighbors)) < cfg.loss_rate
-        if lost_arr is not None and lost_arr.any():
-            for _ in range(int(lost_arr.sum())):
-                self.metrics.on_drop("loss")
-            keep = ~lost_arr
-            survivors = neighbors[keep]
-            smask = mask[keep]
-        else:
-            survivors = neighbors
-            smask = mask
-        remote = survivors[~smask]
-        if len(remote):
+        local = self._shard_owned[neighbors]
+        export = ~local
+        dst = packet.dst
+        if dst is not None:
+            export &= neighbors == dst
+        if lost is not None:
+            export &= ~lost
+            local |= lost
+        if export.any():
+            remote = neighbors[export]
             props = self.network.distances_from(sender, remote) / _SPEED_OF_LIGHT
             times = ((end + props) - start) + start
-            out = self._shard_out
-            for arrive, nb in zip(times.tolist(), remote.tolist()):
-                out.append((arrive, nb, sender, packet, attempt))
-        return survivors[smask], lost_arr is not None
+            self._shard_out.extend(
+                (arrive, nb, sender, packet, attempt)
+                for arrive, nb in zip(times.tolist(), remote.tolist())
+            )
+            if dst is not None:
+                return None
+        return neighbors[local], None if lost is None else lost[local]
 
     # ------------------------------------------------------------------
     def send(self, sender: int, packet: Packet) -> bool:
@@ -452,33 +440,33 @@ class Channel:
             self.metrics.on_node_death(sender, start)
         self.metrics.on_send(packet)
 
+        # Draw once, split by owner, then deliver.
         neighbors = self.network.neighbors(sender)
-        resolved = False
+        lost = self._losses(sender, neighbors, packet.dst)
         if self._shard_owned is not None and (
             self._shard_interior is None or not self._shard_interior[sender]
         ):
-            split = self._shard_split(sender, packet, attempt, neighbors, start, end)
+            split = self._shard_split(sender, packet, attempt, neighbors, lost, start, end)
             if split is None:
                 return
-            neighbors, resolved = split
+            neighbors, lost = split
         if self._batched and packet.dst is None:
-            self._fanout_batched(sender, packet, neighbors, start, end, resolved)
+            self._fanout_batched(sender, packet, neighbors, start, end, lost)
         else:
-            self._fanout_per_event(sender, packet, attempt, neighbors, start, end, resolved)
+            self._fanout_per_event(sender, packet, attempt, neighbors, start, end, lost)
 
     def _fanout_per_event(
         self, sender: int, packet: Packet, attempt: int,
         neighbors: np.ndarray, start: float, end: float,
-        resolved: bool = False,
+        lost: Optional[np.ndarray],
     ) -> None:
         """Per-event fan-out: one engine event per reception.
 
-        Distance, propagation and loss draws are one NumPy pass; loss
-        draws are taken as one batch in neighbor order.  Used for unicast
-        frames and whenever the medium is observed (CSMA/collisions),
-        where every reception must register with :class:`MediumState`.
-        ``resolved`` means a sharded split already made this frame's
-        draws and ``neighbors`` are all survivors.
+        Distance and propagation are one NumPy pass; ``lost`` is the
+        frame's loss mask over ``neighbors`` from :meth:`_losses` (``None``
+        when no loss was drawn).  Used for unicast frames and
+        whenever the medium is observed (CSMA/collisions), where every
+        reception must register with :class:`MediumState`.
         """
         dst = packet.dst
         n = len(neighbors)
@@ -489,29 +477,7 @@ class Channel:
         props = self.network.distances_from(sender, neighbors) / _SPEED_OF_LIGHT
         arrive_l = (end + props).tolist()
         nb_l = neighbors.tolist()
-
-        loss_rate = self.config.loss_rate
-        lost_l = None
-        if resolved:
-            pass
-        elif self.config.burst is not None:
-            if dst is None:
-                lost_l = self._burst_losses(sender, nb_l)
-            else:
-                intended_ids = [nb for nb in nb_l if nb == dst]
-                if intended_ids:
-                    flags = iter(self._burst_losses(sender, intended_ids))
-                    lost_l = [nb == dst and next(flags) for nb in nb_l]
-        elif loss_rate > 0.0:
-            if dst is None:
-                lost_l = (self.sim.node_rng(sender).random(n) < loss_rate).tolist()
-            else:
-                intended_mask = neighbors == dst
-                k = int(intended_mask.sum())
-                if k:
-                    lost = np.zeros(n, dtype=bool)
-                    lost[intended_mask] = self.sim.node_rng(sender).random(k) < loss_rate
-                    lost_l = lost.tolist()
+        lost_l = None if lost is None else lost.tolist()
 
         detect = self.config.collisions
         interference = self._medium_observed
@@ -558,7 +524,7 @@ class Channel:
     def _fanout_batched(
         self, sender: int, packet: Packet,
         neighbors: np.ndarray, start: float, end: float,
-        resolved: bool = False,
+        lost: Optional[np.ndarray],
     ) -> None:
         """Broadcast fan-out as one sorted delivery run.
 
@@ -568,9 +534,9 @@ class Channel:
         produced: sequence numbers are reserved in neighbor order (the
         order :meth:`_fanout_per_event` consumes them), event times are
         computed with the same float expression ``schedule`` uses, and
-        entries are stably sorted by time.  RNG draws are taken in the
-        identical order and shapes, so the run is a pure re-packaging
-        of the reference schedule.
+        entries are stably sorted by time.  Losses come from the same
+        ``lost`` mask, so the run is a pure re-packaging of the
+        reference schedule.
         """
         n = len(neighbors)
         if n == 0:
@@ -580,15 +546,6 @@ class Channel:
         # Exactly Event.time as schedule(arrive - now) computes it:
         # now + ((end + prop) - now), elementwise.
         ev_times = ((end + props) - now) + now
-
-        lost = None
-        loss_rate = self.config.loss_rate
-        if resolved:
-            pass  # a sharded split already drew; neighbors are survivors
-        elif self.config.burst is not None:
-            lost = np.asarray(self._burst_losses(sender, neighbors.tolist()), dtype=bool)
-        elif loss_rate > 0.0:
-            lost = self.sim.node_rng(sender).random(n) < loss_rate
 
         if lost is not None and lost.any():
             for _ in range(int(lost.sum())):
@@ -743,31 +700,6 @@ class Channel:
                 # no death is possible — the charge is two adds.
                 spent_rx[nb] += rx_j
                 rx_count[nb] += 1
-                if kind is cur_kind:
-                    got += 1
-                else:
-                    if got:
-                        received[cur_kind] += got
-                    cur_kind = kind
-                    got = 1
-                handler = handlers[nb]
-                if handler is not None:
-                    handler(packet)
-                    if sim._seq != seq_mark:
-                        # The handler scheduled something; it may have
-                        # to fire before our next entry — re-derive the
-                        # engine part of the bound.  A seq bump means at
-                        # least one push, so the queue is non-empty;
-                        # only a cancelled top forces the full lazy peek.
-                        seq_mark = sim._seq
-                        tk = q[0]
-                        top = tk if not tk[2].cancelled else (peek() or inf_key)
-                        if horizon < top[0] or (horizon == top[0] and hseq < top[1]):
-                            bt = horizon
-                            bs = hseq
-                        else:
-                            bt = top[0]
-                            bs = top[1]
             elif alive_l[nb]:
                 # Finite battery: full scalar charge with the death
                 # bookkeeping of per-event delivery.
@@ -778,30 +710,36 @@ class Channel:
                     metrics.on_node_death(nb, t)
                     on_drop("dead_node")
                     continue
-                if kind is cur_kind:
-                    got += 1
-                else:
-                    if got:
-                        received[cur_kind] += got
-                    cur_kind = kind
-                    got = 1
-                handler = handlers[nb]
-                if handler is not None:
-                    handler(packet)
-                    if sim._seq != seq_mark:
-                        seq_mark = sim._seq
-                        tk = q[0]
-                        top = tk if not tk[2].cancelled else (peek() or inf_key)
-                        if horizon < top[0] or (horizon == top[0] and hseq < top[1]):
-                            bt = horizon
-                            bs = hseq
-                        else:
-                            bt = top[0]
-                            bs = top[1]
             else:
                 # Broadcast copy to a dead receiver: frame-level loss
                 # only, sibling copies may still deliver.
                 on_drop("dead_node")
+                continue
+            if kind is cur_kind:
+                got += 1
+            else:
+                if got:
+                    received[cur_kind] += got
+                cur_kind = kind
+                got = 1
+            handler = handlers[nb]
+            if handler is not None:
+                handler(packet)
+                if sim._seq != seq_mark:
+                    # The handler scheduled something; it may have to
+                    # fire before our next entry — re-derive the engine
+                    # part of the bound.  A seq bump means at least one
+                    # push, so the queue is non-empty; only a cancelled
+                    # top forces the full lazy peek.
+                    seq_mark = sim._seq
+                    tk = q[0]
+                    top = tk if not tk[2].cancelled else (peek() or inf_key)
+                    if horizon < top[0] or (horizon == top[0] and hseq < top[1]):
+                        bt = horizon
+                        bs = hseq
+                    else:
+                        bt = top[0]
+                        bs = top[1]
 
         if got:
             received[cur_kind] += got

@@ -31,7 +31,7 @@ time — so there is nothing to invalidate when the store mutates.  The
 one derived column, ``alive``, is *maintained*: every mutation that can
 flip liveness (battery death, ``failed``/``sleeping`` writes, a shard's
 halo mirror) funnels through :meth:`NodeStateStore.refresh_alive`, which
-edge-detects against the stored value and fires the per-node listener
+edge-detects against the stored value and fires the store's alive listener
 exactly once per actual flip.  Arrays returned by :meth:`alive_view` /
 :meth:`route_columns` are live read-only windows onto the columns: they
 reflect later mutations and must never be written through.
@@ -112,7 +112,7 @@ class NodeStateStore:
         "spent_idle", "died_at", "energy_alive", "failed", "sleeping",
         "alive", "finite", "finite_count", "tx_count", "rx_count",
         "queue_depth", "next_hop", "route_seq", "backoff", "handlers",
-        "alive_list", "finite_list", "fast_list", "_listeners",
+        "alive_list", "finite_list", "fast_list", "alive_listener",
         "_energy_views",
     )
 
@@ -153,7 +153,10 @@ class NodeStateStore:
         self.alive_list: list[bool] = [True] * n
         self.finite_list: list[bool] = [bool(f) for f in self.finite]
         self.fast_list: list[bool] = [not f for f in self.finite_list]
-        self._listeners: list[Optional[Callable[[int, bool], None]]] = [None] * n
+        #: ``listener(node_id, alive)``, fired once per actual liveness
+        #: flip of any row (the owning Network keeps its topology caches
+        #: current through it).
+        self.alive_listener: Optional[Callable[[int, bool], None]] = None
         self._energy_views: list[Optional[EnergyAccount]] = [None] * n
 
     # ------------------------------------------------------------------
@@ -209,7 +212,7 @@ class NodeStateStore:
         cached :class:`~repro.sim.energy.EnergyAccount` rows are
         dropped and re-created lazily.
         """
-        # Slot order puts ``kinds`` before ``handlers``/``_listeners``,
+        # Slot order puts ``kinds`` before ``handlers``/``alive_listener``,
         # which is what lets a Network restored in the middle of this
         # store's state (see Network.__getstate__) find the list whole.
         state = {
@@ -280,12 +283,9 @@ class NodeStateStore:
             self.alive[i] = now_alive
             self.alive_list[i] = now_alive
             self.fast_list[i] = now_alive and not self.finite_list[i]
-            listener = self._listeners[i]
+            listener = self.alive_listener
             if listener is not None:
                 listener(i, now_alive)
-
-    def bind_alive_listener(self, i: int, listener: Callable[[int, bool], None]) -> None:
-        self._listeners[i] = listener
 
     def set_failed(self, i: int, value: bool) -> None:
         self.failed[i] = value

@@ -68,12 +68,14 @@ __all__ = [
 class WorldConfig:
     """Execution configuration of a world, as one serializable value.
 
-    Five settings: the conservation audit, an optional fault plan, and
-    how a sharded execution is split and checkpointed.  The execution
-    settings select *how* a world runs, never *what* it computes —
-    sharded and checkpointed runs produce bit-identical metrics rows,
-    RNG streams and conservation ledgers to the in-process run (the
-    shard suite and the recorded golden digests hold them to that).
+    Three settings: the conservation audit, an optional fault plan, and
+    how many shards a sharded execution splits into.  The shard count
+    selects *how* a world runs, never *what* it computes — sharded runs
+    produce bit-identical metrics rows, RNG streams and conservation
+    ledgers to the in-process run (the shard suite and the recorded
+    golden digests hold them to that).  Checkpointing is an argument of
+    the executor, not of the world:
+    ``run_sharded(checkpoint=CheckpointConfig(...))``.
     Consolidating them in one frozen dataclass means experiments thread
     a single ``world`` value into their
     :class:`~repro.runner.spec.ExperimentSpec` params — so cells with
@@ -97,8 +99,8 @@ class WorldConfig:
     shards:
         Number of worker processes a sharded execution decomposes the
         field into (:mod:`repro.shard`; ``1`` = ordinary in-process
-        execution).  Like every other toggle this selects *how* the
-        world runs, never *what* it computes — a sharded run replays
+        execution).  It selects *how* the world runs, never *what* it
+        computes — a sharded run replays
         bit-identically to the single-process one, which is why the
         runner's cache key deliberately ignores it (sharded and
         single-process cells share cache entries).  Direct
@@ -106,39 +108,16 @@ class WorldConfig:
         the in-process stack; :func:`repro.shard.run_sharded` and the
         experiments that support sharding are the executors that honor
         it.
-    checkpoint_dir / checkpoint_every:
-        Barrier-checkpointing for sharded executions
-        (:mod:`repro.shard.checkpoint`): when ``checkpoint_dir`` is set,
-        :func:`repro.shard.run_sharded` snapshots the whole gang every
-        ``checkpoint_every`` windows and can respawn crashed workers
-        from the last snapshot — or cold-resume a new invocation via
-        ``resume_from``.  Like ``shards`` these select *how* the world
-        runs (a checkpointed run is bit-identical to an unchekpointed
-        one) and are ignored by the runner's cache key.
     """
 
     audit: Optional[bool] = None
     faults: Optional[Any] = None
     shards: int = 1
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 8
 
     def __post_init__(self) -> None:
         if not isinstance(self.shards, int) or isinstance(self.shards, bool) or self.shards < 1:
             raise ConfigurationError(
                 f"shards must be a positive integer, got {self.shards!r}"
-            )
-        if self.checkpoint_dir is not None and not isinstance(self.checkpoint_dir, str):
-            raise ConfigurationError(
-                f"checkpoint_dir must be a path string or None, got {self.checkpoint_dir!r}"
-            )
-        if (
-            not isinstance(self.checkpoint_every, int)
-            or isinstance(self.checkpoint_every, bool)
-            or self.checkpoint_every < 1
-        ):
-            raise ConfigurationError(
-                f"checkpoint_every must be a positive integer, got {self.checkpoint_every!r}"
             )
         if self.faults is not None:
             from repro.faults.plan import FaultPlan  # deferred: faults builds worlds

@@ -228,8 +228,8 @@ def _matrix() -> list[Cell]:
 
     Fault cells arm one crash/recover pair and a battery drain on
     finite (3 mJ) batteries, so deaths, RERR repair and rejoin all
-    run.  Every fault-free cell on the ideal and lossy radios with a
-    shard-safe protocol is also replayed at two workers.
+    run.  Every fault-free cell on the ideal, lossy and Gilbert–Elliott
+    radios with a shard-safe protocol is also replayed at two workers.
     """
     n, field = 60, 150.0
     base = dict(
@@ -255,7 +255,7 @@ def _matrix() -> list[Cell]:
                     rounds=(0.0, 2.0) if proto in ("mlr", "secmlr") else (),
                     battery=0.003 if faulted else math.inf,
                     faults=plan if faulted else None,
-                    sharded=(not faulted and radio in ("ideal", "lossy")
+                    sharded=(not faulted and radio in ("ideal", "lossy", "ge")
                              and proto != "secmlr"),
                     **base,
                 ))
@@ -289,6 +289,7 @@ def _regressions() -> list[Cell]:
             comm_range=55.0,
             traffic=ge_traffic,
             seed=seed,
+            sharded=True,
         )
         for seed in (0, 7)
     ]

@@ -288,10 +288,10 @@ class TestZeroBackoffWindow:
 # ----------------------------------------------------------------------
 class TestAliveListener:
     def _tracked_node(self, capacity=math.inf):
-        node = NodeStateStore([NodeKind.SENSOR], [capacity]).node_view(0)
+        store = NodeStateStore([NodeKind.SENSOR], [capacity])
         flips = []
-        node.bind_alive_listener(lambda nid, alive: flips.append((nid, alive)))
-        return node, flips
+        store.alive_listener = lambda nid, alive: flips.append((nid, alive))
+        return store.node_view(0), flips
 
     def test_fail_while_sleeping_is_one_transition(self):
         node, flips = self._tracked_node()

@@ -75,20 +75,12 @@ def test_all_kinds_distinct():
 
 
 class TestSizeCache:
-    def test_size_computed_once(self):
-        p = _pkt(payload_bytes=10)
-        assert p._size_bytes_cached is None
-        first = p.size_bytes()
-        assert p._size_bytes_cached == first
-        assert p.size_bytes() == first
-
     def test_fork_recomputes_for_grown_path(self):
         p = _pkt(path=(1,))
         base = p.size_bytes()
         q = p.fork(path=(1, 2, 3))
-        assert q._size_bytes_cached is None  # replace() resets init=False field
         assert q.size_bytes() == base + 2 * PATH_ENTRY_BYTES
-        assert p.size_bytes() == base  # original cache untouched
+        assert p.size_bytes() == base
 
     def test_with_hop_keeps_size(self):
         p = _pkt(payload_bytes=DATA_PAYLOAD_BYTES)

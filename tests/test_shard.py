@@ -798,31 +798,11 @@ class TestCheckpointResume:
         assert res.digest == ref.digest
         assert res.rng_states == ref.rng_states
 
-    def test_worldconfig_checkpoint_surface(self, tmp_path):
-        """checkpoint_dir/checkpoint_every on WorldConfig arm the store."""
-        w = _workload(seed=2)
-        ref = run_sharded(w, shards=2)
-        w_ckpt = dataclasses.replace(
-            w, world=w.world.replace(
-                checkpoint_dir=str(tmp_path), checkpoint_every=3,
-            ),
-        )
-        res = run_sharded(
-            w_ckpt, shards=2, chaos=HarnessChaos(kill_shard=1, kill_window=7),
-        )
-        assert res.restarts == 1
-        assert res.checkpoints > 0
-        assert res.digest == ref.digest
-
-    def test_workload_key_ignores_execution_strategy(self, tmp_path):
+    def test_workload_key_ignores_execution_strategy(self):
         """The run directory is keyed by physics, not by plumbing."""
         w = _workload(seed=3)
-        w_ckpt = dataclasses.replace(
-            w, world=w.world.replace(
-                checkpoint_dir=str(tmp_path), checkpoint_every=13,
-            ),
-        )
-        assert workload_key(w, 2) == workload_key(w_ckpt, 2)
+        w_sharded = dataclasses.replace(w, world=w.world.replace(shards=4))
+        assert workload_key(w, 2) == workload_key(w_sharded, 2)
         # ... but a different shard count is a different resume lineage.
         assert workload_key(w, 2) != workload_key(w, 3)
         # And different physics is a different key.
@@ -838,18 +818,12 @@ class TestCheckpointResume:
         assert workload_key(w, 2) != base
 
     def test_checkpoint_fields_are_cache_key_neutral(self):
-        """Runner cache keys ignore shards/checkpoint knobs entirely."""
+        """Runner cache keys ignore the shard count; checkpointing is an
+        executor argument, never part of the cached params."""
         base = cache_key("scalability", {"world": WorldConfig(audit=True)}, 0)
         assert base == cache_key(
             "scalability",
             {"world": WorldConfig(audit=True, shards=4)},
-            0,
-        )
-        assert base == cache_key(
-            "scalability",
-            {"world": WorldConfig(
-                audit=True, checkpoint_dir="/anywhere", checkpoint_every=5,
-            )},
             0,
         )
 
@@ -906,10 +880,6 @@ class TestCheckpointResume:
             CheckpointConfig(dir="x", every=0)
         with pytest.raises(ConfigurationError):
             CheckpointConfig(dir="x", keep=0)
-        with pytest.raises(ConfigurationError):
-            WorldConfig(checkpoint_every=0)
-        with pytest.raises(ConfigurationError):
-            WorldConfig(checkpoint_dir=7)
 
 
 # ----------------------------------------------------------------------

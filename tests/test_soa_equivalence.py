@@ -103,7 +103,6 @@ class TestWorldConfigAPI:
         cfg = WorldConfig(
             audit=True,
             faults=FaultPlan((Crash(node=2, t=1.5),)),
-            checkpoint_every=3,
         )
         assert WorldConfig.from_param(to_jsonable(cfg)) == cfg
         assert WorldConfig.from_param(cfg) is cfg
@@ -132,11 +131,14 @@ class TestWorldConfigAPI:
         plan = FaultPlan((Crash(node=2, t=1.5),))
         b = WorldBuilder().audit(True).faults(plan)
         assert b.config == WorldConfig(audit=True, faults=plan)
-        b.configure(WorldConfig(checkpoint_every=3))
-        assert b.config == WorldConfig(checkpoint_every=3)
+        b.configure(WorldConfig(shards=3))
+        assert b.config == WorldConfig(shards=3)
         assert not hasattr(b, "soa")
 
-    @pytest.mark.parametrize("stale", ["vectorized", "spatial_index", "soa"])
+    @pytest.mark.parametrize(
+        "stale",
+        ["vectorized", "spatial_index", "soa", "checkpoint_dir", "checkpoint_every"],
+    )
     def test_from_param_rejects_unknown_fields(self, stale):
         # A saved spec or trace from before a setting was removed must
         # not silently run the default for it.
